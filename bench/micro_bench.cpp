@@ -3,7 +3,7 @@
 // std::function slot queue), broadcast packet delivery (zero-copy shared
 // frames vs the legacy per-receiver Packet copies), channel broadcast
 // scheduling (batched vs legacy per-neighbor events), topology neighbor
-// rebuilds (uniform-grid index vs the pre-mobility all-pairs scan), Safe
+// lists (full grid-index build and the per-epoch incremental advance), Safe
 // Sleep bookkeeping, shaper updates, and a full small-scenario run.
 #include <benchmark/benchmark.h>
 
@@ -397,10 +397,11 @@ BENCHMARK(BM_ChannelBroadcast)
     ->ArgsProduct({{0, 1}, {16, 64}})
     ->ArgNames({"batched", "nodes"});
 
-// Neighbor-set rebuild: the cost mobility pays once per epoch. The grid
-// index inside Topology is measured against the seed's all-pairs scan,
-// reproduced verbatim below. Density is held constant (~12 neighbors/node)
-// as n grows, the regime where the grid is expected O(n).
+// Neighbor lists at constant density (~12 neighbors/node) as n grows, the
+// regime where the grid index is expected O(n): a full build (what a static
+// topology pays once, and a mobile one on each Verlet candidate refresh) and
+// the per-epoch incremental advance under walking-speed random waypoint
+// (what a mobile topology pays every 10 ms epoch).
 std::vector<net::Position> scaled_positions(std::size_t n) {
   util::Rng rng{7};
   // Area grows with n so density stays fixed: ~n * pi * 125^2 / area = const.
@@ -424,25 +425,29 @@ void BM_NeighborRebuildGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborRebuildGrid)->Arg(80)->Arg(1000)->Arg(4000);
 
-void BM_NeighborRebuildAllPairs(benchmark::State& state) {
+void BM_NeighborAdvance(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<net::Position> pos = scaled_positions(n);
+  const double area = 500.0 * std::sqrt(static_cast<double>(n) / 80.0);
+  net::Topology topo{pos, 125.0};
+  const Time epoch = Time::milliseconds(10);
+  topo.set_mobility_model(std::make_shared<net::RandomWaypointMobility>(
+                              pos, area, area, net::RandomWaypointParams{},
+                              util::Rng{7}),
+                          epoch);
+  std::int64_t e = 0;
+  for (; e < 100; ++e) topo.advance_to(epoch * (e + 1));  // warm the buffers
   for (auto _ : state) {
-    // The pre-grid build, verbatim.
-    std::vector<std::vector<net::NodeId>> neighbors(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (net::distance(pos[i], pos[j]) <= 125.0) {
-          neighbors[i].push_back(static_cast<net::NodeId>(j));
-          neighbors[j].push_back(static_cast<net::NodeId>(i));
-        }
-      }
-    }
-    benchmark::DoNotOptimize(neighbors[0].size());
+    topo.advance_to(epoch * ++e);
+    benchmark::DoNotOptimize(topo.neighbors(0).size());
   }
   state.SetItemsProcessed(state.iterations() * n);
+  state.counters["refresh_per_epoch"] =
+      static_cast<double>(topo.candidate_refreshes()) / static_cast<double>(e);
+  state.counters["publish_per_epoch"] =
+      static_cast<double>(topo.table_publishes()) / static_cast<double>(e);
 }
-BENCHMARK(BM_NeighborRebuildAllPairs)->Arg(80)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_NeighborAdvance)->Arg(120)->Arg(1000)->Arg(4000);
 
 // The PR-7 attachment A/B: per-arrival listener dispatch. Legacy
 // (pre-PR-7) attachments held three std::functions per node — 96 bytes of

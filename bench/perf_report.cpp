@@ -25,15 +25,19 @@
 //     from scratch. The two paths' RunMetrics are diffed bit-for-bit; a
 //     mismatch fails the bench outright.
 //
+// Usage: bench_perf_report [OUT.json [PR]]. OUT is the output path (default
+// $ESSAT_BENCH_JSON, else perf_report.json); PR is the pull-request number
+// recorded as "pr" (null when omitted): `bench_perf_report BENCH_<pr>.json
+// <pr>` writes the report committed with each pull request.
 // Knobs: ESSAT_BENCH_MEASURE_S (measurement window, default 20),
-// ESSAT_BENCH_RUNS (runs per rate point, default 5), ESSAT_BENCH_JSON or
-// argv[1] (output path, default BENCH_9.json).
+// ESSAT_BENCH_RUNS (runs per rate point, default 5).
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench/alloc_hook.h"
@@ -109,7 +113,18 @@ int main(int argc, char** argv) {
 
   const char* out_path = argc > 1 ? argv[1] : nullptr;
   if (out_path == nullptr) out_path = std::getenv("ESSAT_BENCH_JSON");
-  if (out_path == nullptr) out_path = "BENCH_9.json";
+  if (out_path == nullptr) out_path = "perf_report.json";
+  std::string pr = "null";
+  if (argc > 2) {
+    char* end = nullptr;
+    const long n = std::strtol(argv[2], &end, 10);
+    if (end == argv[2] || *end != '\0' || n <= 0) {
+      std::fprintf(stderr, "perf_report: PR must be a positive integer, got '%s'\n",
+                   argv[2]);
+      return 2;
+    }
+    pr = std::to_string(n);
+  }
 
   std::printf("perf_report: DTS-SS x uniform-160 x {1,2,4} Hz, %gs window, "
               "%d runs/rate, serial\n",
@@ -224,7 +239,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_report\",\n"
-               "  \"pr\": 9,\n"
+               "  \"pr\": %s,\n"
                "  \"workload\": {\"protocol\": \"DTS-SS\", \"topology\": "
                "\"uniform-160\", \"rates_hz\": [1, 2, 4], "
                "\"measure_s\": %g, \"runs_per_rate\": %d},\n"
@@ -250,7 +265,7 @@ int main(int argc, char** argv) {
                "  \"fork_runs_per_sec\": %.3f,\n"
                "  \"fork_speedup\": %.3f\n"
                "}\n",
-               measure.to_seconds(), runs, trials, wall,
+               pr.c_str(), measure.to_seconds(), runs, trials, wall,
                static_cast<unsigned long long>(events), events_per_sec,
                1e9 / events_per_sec, trials / wall,
                static_cast<unsigned long long>(peak_live), allocs_per_event,

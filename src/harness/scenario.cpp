@@ -458,17 +458,22 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     sim.schedule_at(setup_end, [&] { register_queries(); });
   }
 
-  // Mobility epoch ticks: re-sample the position source and rebuild the
+  // Mobility epoch ticks: re-sample the position source and update the
   // neighbor sets once per epoch. Link PRRs then drift through geometry;
   // broken parent links surface as MAC send failures, which maintenance
-  // (when enabled) turns into policy-driven reparenting.
-  std::function<void()> mobility_tick;
+  // (when enabled) turns into policy-driven reparenting. The tick
+  // re-schedules a copy of itself: two pointers, well inside the event
+  // callback's inline buffer, so an epoch allocates nothing.
+  struct MobilityTick {
+    net::Topology* topo;
+    sim::Simulator* sim;
+    void operator()() const {
+      topo->advance_to(sim->now());
+      sim->schedule_in(topo->mobility_epoch(), *this);
+    }
+  };
   if (topo.time_varying()) {
-    mobility_tick = [&] {
-      topo.advance_to(sim.now());
-      sim.schedule_in(topo.mobility_epoch(), mobility_tick);
-    };
-    sim.schedule_in(topo.mobility_epoch(), mobility_tick);
+    sim.schedule_in(topo.mobility_epoch(), MobilityTick{&topo, &sim});
   }
 
   sim.schedule_at(measure_start, [&] {

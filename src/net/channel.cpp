@@ -139,17 +139,17 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
 
   const util::Time arrive = sim_.now() + params_.propagation_delay;
   if (params_.batch_arrivals && topo_.time_varying()) {
-    // Mobile topology: an epoch tick may rebuild the neighbor lists while
+    // Mobile topology: an epoch tick may change the neighbor lists while
     // this frame is on the air, so both events must share the receiver set
     // frozen at transmit time — otherwise a begin without its end corrupts
-    // the carrier-sense counts. The topology's lists are copy-on-rebuild,
-    // so freezing is a refcount bump, not a vector copy.
-    auto nbrs = topo_.neighbors_handle(sender);
-    sim_.schedule_at(arrive, [this, nbrs, frame] {
-      for (NodeId m : *nbrs) begin_arrival_(m, frame);
+    // the carrier-sense counts. The topology never writes a table someone
+    // else holds, so freezing is one refcount bump on the epoch's table.
+    auto table = topo_.neighbors_handle();
+    sim_.schedule_at(arrive, [this, table, sender, frame] {
+      for (NodeId m : table->neighbors(sender)) begin_arrival_(m, frame);
     });
-    sim_.schedule_at(arrive + duration, [this, nbrs, frame] {
-      for (NodeId m : *nbrs) end_arrival_(m, frame);
+    sim_.schedule_at(arrive + duration, [this, table, sender, frame] {
+      for (NodeId m : table->neighbors(sender)) end_arrival_(m, frame);
     });
   } else if (params_.batch_arrivals) {
     // One event pair per transmission: every in-range receiver shares the

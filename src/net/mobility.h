@@ -3,7 +3,7 @@
 // The seed's deployment is frozen for the whole run (the paper's setup). A
 // MobilityModel turns the Topology into a position-source-backed view: the
 // model answers positions_at(t), the topology re-samples it on an epoch
-// tick (Topology::advance_to) and rebuilds its neighbor sets, and every
+// tick (Topology::advance_to) and updates its neighbor sets, and every
 // consumer — channel propagation, tree construction, repair — keeps reading
 // through the unchanged accessors. Link PRRs then vary over time through
 // geometry alone, which is exactly the stress the tree-repair and
@@ -151,7 +151,7 @@ struct MobilitySpec {
   RandomWaypointParams waypoint;
 
   // Neighbor-set recompute period: Topology::advance_to re-samples the
-  // model and rebuilds neighbor lists once per epoch.
+  // model and updates the neighbor lists once per epoch.
   double epoch_s = 5.0;
 
   // kWaypoints trajectories.

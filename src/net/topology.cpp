@@ -10,10 +10,31 @@
 
 namespace essat::net {
 
+namespace {
+
+// Verlet skin as a fraction of the range. Candidates cover range + skin; a
+// refresh is due once any node drifted skin/2 from its anchor. A twentieth
+// of the range keeps candidate lists ~10% longer than the exact ones, while
+// a walking-speed node (1.5 m/s) forces a refresh only every ~200 epochs of
+// 10 ms.
+constexpr double kSkinFraction = 0.05;
+// Relative slack that absorbs floating-point rounding where a bound must
+// hold exactly: on the candidate radius (the triangle-inequality argument)
+// and on the grid cell size (the 3x3-block coverage). It only ever adds
+// candidates or widens cells; membership is always the exact range test.
+constexpr double kRoundingSlack = 1e-6;
+
+}  // namespace
+
 Topology::Topology(std::vector<Position> positions, double range_m)
-    : positions_{std::move(positions)}, range_m_{range_m} {
+    : positions_{std::move(positions)},
+      range_m_{range_m},
+      range_sq_{sq_cutoff(range_m)},
+      table_{std::make_shared<NeighborTable>()} {
   if (range_m_ <= 0.0) throw std::invalid_argument{"Topology: range must be positive"};
-  build_neighbor_lists_();
+  GridBuffers grid;  // a frozen topology never needs the index again
+  build_pairs_(positions_, range_m_, grid, *table_);
+  rebuilds_ = 1;
 }
 
 Topology Topology::uniform_random(std::size_t num_nodes, double area_m,
@@ -114,6 +135,7 @@ void Topology::set_mobility_model(std::shared_ptr<MobilityModel> model,
   mobility_ = std::move(model);
   epoch_ = epoch;
   epoch_index_ = 0;  // positions_ already hold the t = 0 snapshot
+  anchors_.clear();  // the first advance builds the candidates
 }
 
 void Topology::advance_to(util::Time t) {
@@ -128,38 +150,87 @@ void Topology::advance_to(util::Time t) {
     // model for a different node count must not silently resize the world.
     throw std::logic_error{"Topology::advance_to: mobility model node count mismatch"};
   }
-  build_neighbor_lists_();
+  ++rebuilds_;
+  if (anchors_.size() != n || drifted_past_skin_()) refresh_candidates_();
+  filter_candidates_();
+  if (next_ != *table_) publish_();
 }
 
-void Topology::build_neighbor_lists_() {
-  const auto n = positions_.size();
-  std::vector<std::vector<NodeId>> lists(n);
-  ++rebuilds_;
-  if (n == 0) {
-    neighbors_.clear();
-    return;
+// Superset guarantee: a pair now within range was within range + skin at
+// the anchors, since neither end has moved more than skin/2 since.
+bool Topology::drifted_past_skin_() const {
+  const double half_skin = 0.5 * kSkinFraction * range_m_;
+  const double limit_sq = half_skin * half_skin;
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    if (distance_sq(positions_[i], anchors_[i]) > limit_sq) return true;
   }
+  return false;
+}
 
-  // Uniform-grid spatial index: bucket nodes into range-sized cells and
+void Topology::refresh_candidates_() {
+  ++refreshes_;
+  anchors_ = positions_;
+  build_pairs_(anchors_, range_m_ * (1.0 + kSkinFraction + kRoundingSlack), grid_,
+               candidates_);
+}
+
+void Topology::filter_candidates_() {
+  const std::size_t n = positions_.size();
+  next_.offsets.assign(n + 1, 0);
+  // Branch-free compaction: every candidate is written, and the cursor only
+  // advances past the ones in range.
+  next_.ids.resize(candidates_.ids.size());
+  NodeId* const out = next_.ids.data();
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Position p = positions_[i];
+    for (std::size_t k = candidates_.offsets[i]; k < candidates_.offsets[i + 1]; ++k) {
+      const NodeId j = candidates_.ids[k];
+      out[w] = j;
+      w += distance_sq(p, positions_[static_cast<std::size_t>(j)]) <= range_sq_ ? 1 : 0;
+    }
+    next_.offsets[i + 1] = w;
+  }
+  next_.ids.resize(w);
+}
+
+// Swaps next_ into the published slot. The outgoing table becomes the spare;
+// the spare's buffers go back to next_ when no frame holds them, so a
+// steady-state publish only moves vectors.
+void Topology::publish_() {
+  ++publishes_;
+  if (!spare_ || spare_.use_count() != 1) spare_ = std::make_shared<NeighborTable>();
+  spare_->offsets.swap(next_.offsets);
+  spare_->ids.swap(next_.ids);
+  table_.swap(spare_);
+}
+
+void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
+                            GridBuffers& grid, NeighborTable& out) {
+  const std::size_t n = pos.size();
+  out.offsets.assign(n + 1, 0);
+  out.ids.clear();
+  if (n == 0) return;
+
+  // Uniform-grid spatial index: bucket nodes into radius-sized cells and
   // test only the 3x3 block around each node's cell — expected O(n) at
-  // bounded density, against the seed's O(n^2) all-pairs scan (which made
-  // per-epoch mobility rebuilds unaffordable). The exact distance test plus
-  // the final sort keep every list byte-identical to the all-pairs build
-  // (ascending node ids).
-  double min_x = positions_[0].x, max_x = min_x;
-  double min_y = positions_[0].y, max_y = min_y;
-  for (const Position& p : positions_) {
+  // bounded density, against an O(n^2) all-pairs scan. The exact distance
+  // test plus the per-node sort keep every list identical to the all-pairs
+  // build (ascending node ids).
+  double min_x = pos[0].x, max_x = min_x;
+  double min_y = pos[0].y, max_y = min_y;
+  for (const Position& p : pos) {
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
     max_y = std::max(max_y, p.y);
   }
-  // Cell size starts at the radio range (3x3 block then provably covers
-  // every in-range pair) and doubles until the grid holds O(n) cells, so a
+  // Cell size starts at the radius (3x3 block then provably covers every
+  // pair within it) and doubles until the grid holds O(n) cells, so a
   // sparse deployment over a huge extent cannot blow up memory — larger
   // cells only widen buckets, never miss a neighbor.
   const std::size_t max_cells = std::max<std::size_t>(64, 4 * n);
-  double cell = range_m_;
+  double cell = radius * (1.0 + kRoundingSlack);
   std::size_t cols = 0, rows = 0;
   const auto dim = [max_cells](double extent, double c) {
     const double f = extent / c;  // compare as double: the cast is UB out of range
@@ -172,44 +243,48 @@ void Topology::build_neighbor_lists_() {
     if (cols <= max_cells && rows <= max_cells && cols * rows <= max_cells) break;
     cell *= 2.0;
   }
-  const auto cell_x = [&](const Position& p) {
-    const auto c = static_cast<std::size_t>((p.x - min_x) / cell);
-    return c >= cols ? cols - 1 : c;  // FP guard at the max edge
-  };
-  const auto cell_y = [&](const Position& p) {
-    const auto c = static_cast<std::size_t>((p.y - min_y) / cell);
-    return c >= rows ? rows - 1 : c;
+  const auto cell_of = [&](const Position& p) {
+    auto cx = static_cast<std::size_t>((p.x - min_x) / cell);
+    auto cy = static_cast<std::size_t>((p.y - min_y) / cell);
+    if (cx >= cols) cx = cols - 1;  // FP guard at the max edge
+    if (cy >= rows) cy = rows - 1;
+    return cy * cols + cx;
   };
 
-  std::vector<std::vector<std::uint32_t>> buckets(cols * rows);
+  // Counting sort of the nodes by cell; filling back to front leaves each
+  // cell's ids ascending and cell_start[c] at the cell's first entry.
+  const std::size_t cells = cols * rows;
+  grid.cell_start.assign(cells + 1, 0);
+  grid.node_cell.resize(n);
+  grid.cell_nodes.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    buckets[cell_y(positions_[i]) * cols + cell_x(positions_[i])].push_back(
-        static_cast<std::uint32_t>(i));
+    grid.node_cell[i] = cell_of(pos[i]);
+    ++grid.cell_start[grid.node_cell[i]];
+  }
+  for (std::size_t c = 1; c <= cells; ++c) grid.cell_start[c] += grid.cell_start[c - 1];
+  for (std::size_t i = n; i-- > 0;) {
+    grid.cell_nodes[--grid.cell_start[grid.node_cell[i]]] = static_cast<NodeId>(i);
   }
 
+  const double cutoff_sq = sq_cutoff(radius);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = cell_x(positions_[i]);
-    const std::size_t cy = cell_y(positions_[i]);
-    auto& out = lists[i];
+    const std::size_t cx = grid.node_cell[i] % cols;
+    const std::size_t cy = grid.node_cell[i] / cols;
+    const std::size_t first = out.ids.size();
     for (std::size_t by = cy > 0 ? cy - 1 : 0; by <= std::min(cy + 1, rows - 1); ++by) {
       for (std::size_t bx = cx > 0 ? cx - 1 : 0; bx <= std::min(cx + 1, cols - 1); ++bx) {
-        for (std::uint32_t j : buckets[by * cols + bx]) {
-          if (j == i) continue;
-          if (distance(positions_[i], positions_[j]) <= range_m_) {
-            out.push_back(static_cast<NodeId>(j));
+        const std::size_t c = by * cols + bx;
+        for (std::size_t k = grid.cell_start[c]; k < grid.cell_start[c + 1]; ++k) {
+          const NodeId j = grid.cell_nodes[k];
+          if (static_cast<std::size_t>(j) == i) continue;
+          if (distance_sq(pos[i], pos[static_cast<std::size_t>(j)]) <= cutoff_sq) {
+            out.ids.push_back(j);
           }
         }
       }
     }
-    std::sort(out.begin(), out.end());
-  }
-
-  // Publish copy-on-rebuild: fresh immutable lists every epoch, so handles
-  // taken before the rebuild stay valid and unchanged.
-  neighbors_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    neighbors_[i] =
-        std::make_shared<const std::vector<NodeId>>(std::move(lists[i]));
+    std::sort(out.ids.begin() + static_cast<std::ptrdiff_t>(first), out.ids.end());
+    out.offsets[i + 1] = out.ids.size();
   }
 }
 
@@ -319,10 +394,11 @@ void Topology::save_state(snap::Serializer& out) const {
     out.f64(p.x);
     out.f64(p.y);
   }
-  out.u64(neighbors_.size());
-  for (const auto& list : neighbors_) {
-    out.u64(list->size());
-    for (NodeId n : *list) out.i32(n);
+  out.u64(table_->num_lists());
+  for (std::size_t i = 0; i < table_->num_lists(); ++i) {
+    const NeighborSpan list = table_->neighbors(static_cast<NodeId>(i));
+    out.u64(list.size());
+    for (NodeId n : list) out.i32(n);
   }
   out.boolean(mobility_ != nullptr);
   out.time(epoch_);

@@ -5,19 +5,33 @@
 // 125 m communication range. The extra generators (grid, line, clustered,
 // corridor) open the deployment axis the paper left fixed.
 //
-// Positions are a snapshot, optionally backed by a MobilityModel
-// (net/mobility.h): advance_to(t) re-samples the model and rebuilds the
-// neighbor sets once per epoch, so consumers (channel, tree construction,
-// repair) keep reading through the same accessors while the geometry — and
-// with it every link — drifts over time. Without a model the topology is
-// frozen, exactly the seed's behavior. Neighbor sets are built with a
-// uniform-grid spatial index (expected O(n)), so the per-epoch rebuild
-// stays affordable at thousands of nodes.
+// Neighbor lists live in one immutable CSR NeighborTable per epoch (offsets
+// plus flat ids, every list ascending), held by shared_ptr. neighbors(n) is
+// a span into the current table; neighbors_handle() hands out the table
+// itself, so a consumer that must keep one frame's receiver set across an
+// epoch tick (the channel, for in-flight transmissions) freezes it with one
+// refcount bump.
+//
+// Without a mobility model the topology is frozen: the table is built once
+// by a uniform-grid spatial index (expected O(n)). With a model
+// (net/mobility.h), advance_to(t) re-samples positions once per epoch and
+// maintains the lists incrementally with Verlet candidate lists: the grid
+// index collects every pair within range + skin of the nodes' anchor
+// positions, and each epoch only filters those candidates with the exact
+// range test. The candidates are rebuilt (and the anchors reset) only once
+// some node's observed displacement from its anchor exceeds skin/2; until
+// then every in-range pair is provably a candidate, whatever the model —
+// teleporting traces included. A new table is published only when a list
+// changed, written into the previous-but-one table when no frame still
+// holds it, so steady-state epochs allocate nothing. Every list is the one
+// an all-pairs scan with distance() <= range would give.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,6 +46,59 @@ class Serializer;
 }  // namespace essat::snap
 
 namespace essat::net {
+
+// Read-only view of one node's neighbor list (ascending node ids). Valid
+// while the table it points into is alive: for Topology::neighbors(n), at
+// least until the next epoch that changes a list.
+class NeighborSpan {
+ public:
+  using value_type = NodeId;
+  using iterator = const NodeId*;
+  using const_iterator = const NodeId*;
+
+  NeighborSpan(const NodeId* first, const NodeId* last)
+      : first_{first}, last_{last} {}
+
+  const NodeId* begin() const { return first_; }
+  const NodeId* end() const { return last_; }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  NodeId operator[](std::size_t i) const { return first_[i]; }
+
+  friend bool operator==(NeighborSpan a, NeighborSpan b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator==(NeighborSpan a, const std::vector<NodeId>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator==(const std::vector<NodeId>& a, NeighborSpan b) {
+    return b == a;
+  }
+
+ private:
+  const NodeId* first_;
+  const NodeId* last_;
+};
+
+// Every node's neighbor list for one epoch in compressed sparse rows: node
+// n's list is ids[offsets[n], offsets[n + 1]), ascending.
+struct NeighborTable {
+  std::vector<std::size_t> offsets{0};
+  std::vector<NodeId> ids;
+
+  std::size_t num_lists() const { return offsets.size() - 1; }
+  NeighborSpan neighbors(NodeId n) const {
+    const auto i = static_cast<std::size_t>(n);
+    if (n < 0 || i >= num_lists()) {
+      throw std::out_of_range{"NeighborTable: node out of range"};
+    }
+    return NeighborSpan{ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
+  bool operator==(const NeighborTable& o) const {
+    return offsets == o.offsets && ids == o.ids;
+  }
+  bool operator!=(const NeighborTable& o) const { return !(*this == o); }
+};
 
 class Topology {
  public:
@@ -67,17 +134,11 @@ class Topology {
   double range() const { return range_m_; }
 
   bool in_range(NodeId a, NodeId b) const;
-  const std::vector<NodeId>& neighbors(NodeId n) const {
-    return *neighbors_.at(static_cast<std::size_t>(n));
-  }
-  // Refcounted handle on a node's current neighbor list. Each epoch rebuild
-  // replaces the lists instead of mutating them (copy-on-rebuild), so a
-  // consumer that must keep one frame's receiver set stable across a
-  // rebuild — the channel, for in-flight transmissions — holds a handle
-  // instead of copying the vector.
-  std::shared_ptr<const std::vector<NodeId>> neighbors_handle(NodeId n) const {
-    return neighbors_.at(static_cast<std::size_t>(n));
-  }
+  NeighborSpan neighbors(NodeId n) const { return table_->neighbors(n); }
+  // Refcounted handle on the current epoch's table. A published table is
+  // never written while anyone but the topology holds it, so a handle keeps
+  // every list exactly as it was when taken, across any number of epochs.
+  std::shared_ptr<const NeighborTable> neighbors_handle() const { return table_; }
 
   // Node closest to the given point (the paper roots the tree at the node
   // nearest the centre of the area).
@@ -94,29 +155,59 @@ class Topology {
                           util::Time epoch);
   bool time_varying() const { return mobility_ != nullptr; }
   util::Time mobility_epoch() const { return epoch_; }
-  // Re-samples positions from the mobility model and rebuilds the neighbor
-  // sets when `t` has entered a new epoch since the last call. No-op for a
-  // static topology. `t` must be non-decreasing across calls.
+  // Re-samples positions from the mobility model and brings the neighbor
+  // lists up to date when `t` has entered a new epoch since the last call.
+  // No-op for a static topology. `t` must be non-decreasing across calls.
   void advance_to(util::Time t);
-  // Neighbor-set builds so far (1 after construction); introspection for
-  // the epoch-tick tests.
+  // Introspection for the epoch-tick tests: neighbor-list epochs so far (1
+  // after construction, +1 per epoch advance_to entered), Verlet candidate
+  // rebuilds, and tables published because a list changed.
   std::uint64_t neighbor_rebuilds() const { return rebuilds_; }
+  std::uint64_t candidate_refreshes() const { return refreshes_; }
+  std::uint64_t table_publishes() const { return publishes_; }
 
   // Snapshot hook: positions, neighbor lists, and the mobility epoch
-  // cursor, plus the installed model's state.
+  // cursor, plus the installed model's state. The Verlet candidates are
+  // derived state and are not written.
   void save_state(snap::Serializer& out) const;
 
  private:
-  void build_neighbor_lists_();
+  // Reusable buffers of the grid spatial index.
+  struct GridBuffers {
+    std::vector<std::size_t> cell_start;  // CSR over cells
+    std::vector<NodeId> cell_nodes;       // node ids, ascending per cell
+    std::vector<std::size_t> node_cell;
+  };
+
+  // Writes into `out` every node's ascending list of the other nodes within
+  // `radius` (distance() <= radius, exactly), found through the grid index.
+  static void build_pairs_(const std::vector<Position>& pos, double radius,
+                           GridBuffers& grid, NeighborTable& out);
+  bool drifted_past_skin_() const;
+  void refresh_candidates_();
+  void filter_candidates_();
+  void publish_();
 
   std::vector<Position> positions_;
   double range_m_;
-  // Immutable per-node lists, replaced wholesale on every rebuild.
-  std::vector<std::shared_ptr<const std::vector<NodeId>>> neighbors_;
+  double range_sq_;  // sq_cutoff(range_m_): the exact in-range test
+  // The published table and the previous one, recycled for the next
+  // publish when no frame holds it any more.
+  std::shared_ptr<NeighborTable> table_;
+  std::shared_ptr<NeighborTable> spare_;
   std::shared_ptr<MobilityModel> mobility_;
   util::Time epoch_ = util::Time::seconds(5);
   std::int64_t epoch_index_ = 0;
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t refreshes_ = 0;
+  std::uint64_t publishes_ = 0;
+  // Verlet state (mobile topologies only): the candidate pairs within
+  // range + skin of the anchors, this epoch's filtered lists before they
+  // are compared against the published table, and the grid buffers.
+  std::vector<Position> anchors_;
+  NeighborTable candidates_;
+  NeighborTable next_;
+  GridBuffers grid_;
 };
 
 // ---------------------------------------------------------------------------

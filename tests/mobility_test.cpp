@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -83,6 +85,199 @@ TEST(TopologyGrid, SparseHugeExtentStaysExact) {
   for (std::size_t i = 0; i < pos.size(); ++i) {
     EXPECT_EQ(topo.neighbors(static_cast<NodeId>(i)), reference[i]);
   }
+}
+
+TEST(TopologyGrid, ListsAscendingWithoutSelf) {
+  // The routing layer iterates lists in place and relies on this order for
+  // its deterministic child order.
+  util::Rng rng{17};
+  for (TopologyKind kind :
+       {TopologyKind::kUniform, TopologyKind::kGrid, TopologyKind::kLine,
+        TopologyKind::kClustered, TopologyKind::kCorridor}) {
+    DeploymentSpec spec;
+    spec.kind = kind;
+    spec.num_nodes = 90;
+    const Topology topo = spec.build(rng);
+    for (std::size_t i = 0; i < topo.num_nodes(); ++i) {
+      const NeighborSpan list = topo.neighbors(static_cast<NodeId>(i));
+      for (std::size_t k = 0; k < list.size(); ++k) {
+        EXPECT_NE(list[k], static_cast<NodeId>(i)) << topology_kind_name(kind);
+        if (k > 0) EXPECT_LT(list[k - 1], list[k]) << topology_kind_name(kind);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------- incremental (Verlet) path
+
+void expect_matches_all_pairs(const Topology& topo, int epoch) {
+  const auto reference = all_pairs_neighbors(topo.positions(), topo.range());
+  for (std::size_t i = 0; i < topo.num_nodes(); ++i) {
+    ASSERT_EQ(topo.neighbors(static_cast<NodeId>(i)), reference[i])
+        << "node " << i << " epoch " << epoch;
+  }
+}
+
+TEST(TopologyVerlet, WaypointMatchesAllPairsEveryEpoch) {
+  // Walking speed (candidates reused for many epochs) and >= 50 m/s (a
+  // refresh nearly every epoch): both must equal the all-pairs scan.
+  for (const double speed : {1.5, 60.0}) {
+    util::Rng rng{23};
+    Topology topo = Topology::uniform_random(120, 500.0, 125.0, rng);
+    RandomWaypointParams params;
+    params.speed_min_mps = speed;
+    params.speed_max_mps = speed;
+    params.pause_s = 0.5;
+    const Time epoch = Time::from_milliseconds(200);
+    topo.set_mobility_model(
+        std::make_shared<RandomWaypointMobility>(topo.positions(), 500.0, 500.0,
+                                                 params, util::Rng{31}),
+        epoch);
+    const int epochs = 400;
+    for (int e = 1; e <= epochs; ++e) {
+      topo.advance_to(epoch * e);
+      expect_matches_all_pairs(topo, e);
+    }
+    EXPECT_GT(topo.table_publishes(), 0u) << speed;
+    if (speed > 50.0) {
+      EXPECT_GT(topo.candidate_refreshes(), static_cast<std::uint64_t>(epochs) / 2);
+    } else {
+      EXPECT_LT(topo.candidate_refreshes(), static_cast<std::uint64_t>(epochs) / 4);
+    }
+  }
+}
+
+TEST(TopologyVerlet, TraceTeleportAcrossAreaMatchesAllPairs) {
+  // A 6x6 lattice at 100 m spacing; node 0 jumps from one corner to the
+  // opposite one within a single epoch, then back, while node 7 drifts.
+  std::vector<Position> initial;
+  for (int r = 0; r < 6; ++r) {
+    for (int c = 0; c < 6; ++c) initial.push_back(Position{c * 100.0, r * 100.0});
+  }
+  WaypointTrace jump;
+  jump.node = 0;
+  jump.points = {{Time::seconds(1), Position{0.0, 0.0}},
+                 {Time::seconds(1) + Time::nanoseconds(1), Position{510.0, 505.0}},
+                 {Time::seconds(3), Position{510.0, 505.0}},
+                 {Time::seconds(3) + Time::nanoseconds(1), Position{5.0, 0.0}}};
+  WaypointTrace drift;
+  drift.node = 7;
+  drift.points = {{Time::seconds(4), Position{160.0, 140.0}}};
+  Topology topo{initial, 125.0};
+  topo.set_mobility_model(std::make_shared<WaypointTraceMobility>(
+                              initial, std::vector<WaypointTrace>{jump, drift}),
+                          Time::from_milliseconds(250));
+  for (int e = 1; e <= 20; ++e) {
+    topo.advance_to(Time::from_milliseconds(250) * e);
+    expect_matches_all_pairs(topo, e);
+  }
+  EXPECT_EQ(topo.neighbors(0), (std::vector<NodeId>{1, 6}));
+  EXPECT_GE(topo.candidate_refreshes(), 3u);  // first epoch plus each jump
+}
+
+// A frozen topology over `pos`, and a mobile one whose odd nodes start
+// 3 * range further out and reach `pos` at t = 1 s: both must match the
+// all-pairs scan throughout.
+void expect_exact_frozen_and_mobile(const std::vector<Position>& pos, double range) {
+  expect_matches_all_pairs(Topology{pos, range}, 0);
+  std::vector<Position> start = pos;
+  std::vector<WaypointTrace> traces;
+  for (std::size_t i = 1; i < pos.size(); i += 2) {
+    start[i].x += 3.0 * range;
+    WaypointTrace tr;
+    tr.node = static_cast<NodeId>(i);
+    tr.points = {{Time::seconds(1), pos[i]}};
+    traces.push_back(tr);
+  }
+  Topology mobile{start, range};
+  mobile.set_mobility_model(std::make_shared<WaypointTraceMobility>(start, traces),
+                            Time::from_milliseconds(250));
+  for (int e = 1; e <= 5; ++e) {
+    mobile.advance_to(Time::from_milliseconds(250) * e);
+    expect_matches_all_pairs(mobile, e);
+  }
+  ASSERT_EQ(mobile.positions(), pos);
+}
+
+TEST(TopologyVerlet, RangeBoundaryExactToTheUlp) {
+  util::Rng rng{43};
+  // 130 m and 10 m are radii whose sq_cutoff lies one ulp above
+  // fl(r * r): a naive d2 <= r * r test drops their pairs at d2 == cutoff.
+  for (const double range : {125.0, 130.0, 10.0, 0.1, 77.7, 1.0 / 3.0}) {
+    // Pairs on the x axis, 1 km apart in y, so each distance() is exactly
+    // the gap: one ulp in, exactly range, one ulp out.
+    const std::vector<Position> axis{
+        Position{0.0, 0.0}, Position{std::nextafter(range, 0.0), 0.0},
+        Position{0.0, 1000.0}, Position{range, 1000.0},
+        Position{0.0, 2000.0}, Position{std::nextafter(range, 1e300), 2000.0}};
+    ASSERT_EQ(distance(axis[2], axis[3]), range);
+    expect_exact_frozen_and_mobile(axis, range);
+    const Topology frozen{axis, range};
+    EXPECT_EQ(frozen.neighbors(0), std::vector<NodeId>{1}) << range;
+    EXPECT_EQ(frozen.neighbors(2), std::vector<NodeId>{3}) << range;
+    EXPECT_TRUE(frozen.neighbors(4).empty()) << range;
+
+    // Pairs at range in random directions, one per topology so no
+    // translation adds rounding: their squared distances scatter over a
+    // few ulps around range^2, onto the cutoff itself too.
+    int at_cutoff = 0;
+    for (int k = 0; k < 200; ++k) {
+      const double theta = rng.uniform(0.0, 6.283185307179586);
+      const std::vector<Position> pair{
+          Position{0.0, 0.0}, Position{range * std::cos(theta), range * std::sin(theta)}};
+      at_cutoff += distance_sq(pair[0], pair[1]) == sq_cutoff(range);
+      expect_exact_frozen_and_mobile(pair, range);
+    }
+    if (sq_cutoff(range) != range * range) EXPECT_GT(at_cutoff, 0) << range;
+  }
+}
+
+TEST(TopologyVerlet, CoLocatedAndTinyTopologies) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
+    // n co-located nodes moving together; with n = 0 and 1 nothing links.
+    const std::vector<Position> initial(n, Position{50.0, 50.0});
+    std::vector<WaypointTrace> traces;
+    for (std::size_t i = 0; i < n; ++i) {
+      WaypointTrace tr;
+      tr.node = static_cast<NodeId>(i);
+      tr.points = {{Time::seconds(2), Position{400.0, 400.0}}};
+      traces.push_back(tr);
+    }
+    Topology topo{initial, 125.0};
+    topo.set_mobility_model(std::make_shared<WaypointTraceMobility>(initial, traces),
+                            Time::from_milliseconds(500));
+    for (int e = 1; e <= 8; ++e) {
+      topo.advance_to(Time::from_milliseconds(500) * e);
+      expect_matches_all_pairs(topo, e);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(topo.neighbors(static_cast<NodeId>(i)).size(), n - 1);
+      }
+    }
+    EXPECT_EQ(topo.table_publishes(), 0u);  // co-moving: no list ever changes
+  }
+}
+
+TEST(TopologyVerlet, SqCutoffAgreesWithSqrt) {
+  util::Rng rng{41};
+  std::vector<double> radii{125.0, 0.1, 1.0, 1.0 / 3.0, 1e-150, 1e150, 3.0e-5};
+  for (int i = 0; i < 2000; ++i) {
+    radii.push_back(std::exp(rng.uniform(std::log(1e-6), std::log(1e9))));
+  }
+  for (const double r : radii) {
+    const double cutoff = sq_cutoff(r);
+    ASSERT_LE(std::sqrt(cutoff), r);
+    ASSERT_GT(std::sqrt(std::nextafter(cutoff, 1e308)), r);
+    // Walk 40 ulps either side of r * r.
+    double d2 = r * r;
+    for (int k = 0; k < 40; ++k) d2 = std::nextafter(d2, 0.0);
+    for (int k = 0; k < 81; ++k) {
+      ASSERT_EQ(d2 <= cutoff, std::sqrt(d2) <= r) << "r=" << r << " d2=" << d2;
+      d2 = std::nextafter(d2, 1e308);
+    }
+  }
+  EXPECT_EQ(sq_cutoff(std::numeric_limits<double>::infinity()),
+            std::numeric_limits<double>::infinity());
+  EXPECT_LT(sq_cutoff(-1.0), 0.0);
 }
 
 // ----------------------------------------------------------- static model
@@ -283,6 +478,60 @@ TEST(Mobility, ChannelSurvivesEpochTickMidFrame) {
   EXPECT_EQ(completions, 1);
   EXPECT_FALSE(ch.busy(1));  // arriving_count drained cleanly
   EXPECT_TRUE(topo.neighbors(0).empty());
+}
+
+// A frame whose airtime spans epochs that change the sender's list keeps
+// the receivers frozen at transmit time: a node that walks in mid-frame
+// sees neither its begin nor its end, one that walks out still gets both,
+// and every carrier-sense count drains back to idle.
+TEST(Mobility, FrameKeepsFrozenReceiversAcrossListChanges) {
+  std::vector<Position> initial{Position{0.0, 0.0}, Position{100.0, 0.0},
+                                Position{400.0, 0.0}};
+  Topology topo{initial, 125.0};
+  WaypointTrace leaves;
+  leaves.node = 1;
+  leaves.points = {{Time::from_milliseconds(1.0), Position{1000.0, 0.0}}};
+  WaypointTrace arrives;
+  arrives.node = 2;
+  arrives.points = {{Time::from_milliseconds(1.0), Position{50.0, 0.0}},
+                    {Time::from_milliseconds(2.0), Position{50.0, 0.0}},
+                    {Time::from_milliseconds(3.0), Position{400.0, 0.0}}};
+  topo.set_mobility_model(
+      std::make_shared<WaypointTraceMobility>(
+          initial, std::vector<WaypointTrace>{leaves, arrives}),
+      Time::from_milliseconds(0.5));
+
+  sim::Simulator sim;
+  Channel ch{sim, topo};
+  struct Counting : ChannelListener {
+    int ok = 0;
+    int bad = 0;
+    void on_rx_complete(const Packet&, bool good) override { ++(good ? ok : bad); }
+    void on_channel_activity() override {}
+  } l1, l2;
+  ch.attach(1, &l1);
+  ch.attach(2, &l2);
+  ch.set_listening(1, true);
+  ch.set_listening(2, true);
+
+  const auto frozen = topo.neighbors_handle();
+  DataHeader h;
+  ch.start_tx(0, make_data_packet(0, kNoNode, h), Time::from_milliseconds(4.0));
+  for (int e = 1; e <= 9; ++e) {
+    const Time t = Time::from_milliseconds(0.5) * e;
+    sim.schedule_at(t, [&topo, t] { topo.advance_to(t); });
+  }
+  bool was_busy_2 = false;
+  sim.schedule_at(Time::from_milliseconds(2.0), [&] { was_busy_2 = ch.busy(2); });
+  sim.run();
+
+  EXPECT_GE(topo.table_publishes(), 2u);  // lists changed under the frame
+  EXPECT_EQ(frozen->neighbors(0), std::vector<NodeId>{1});  // never rewritten
+  EXPECT_EQ(l1.ok, 1);
+  EXPECT_EQ(l1.bad, 0);
+  EXPECT_EQ(l2.ok + l2.bad, 0);
+  EXPECT_FALSE(was_busy_2);
+  for (NodeId n = 0; n < 3; ++n) EXPECT_FALSE(ch.busy(n)) << n;
 }
 
 // ------------------------------------------------------------------ spec
