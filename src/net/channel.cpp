@@ -22,8 +22,8 @@ Channel::Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params
     : sim_{sim},
       topo_{topo},
       params_{params},
-      dense_stats_{topo.num_nodes() < params.dense_link_stats_below},
       sinr_active_{params.sinr.enabled},
+      dense_stats_{topo.num_nodes() < params.dense_link_stats_below},
       nodes_(topo.num_nodes()) {
   if (sinr_active_) {
     noise_mw_ = std::pow(10.0, params_.sinr.noise_dbm / 10.0);

@@ -221,6 +221,10 @@ std::unique_ptr<LinkModel> ChannelModelSpec::build(double range_m,
           base = std::make_unique<LogNormalShadowingModel>(shadowing, range_m,
                                                            rng.fork(1));
           break;
+        case LinkModelKind::kPrrTrace:
+          base = std::make_unique<PrrTraceModel>(prr_trace, prr_trace_default,
+                                                 rng.fork(4));
+          break;
         case LinkModelKind::kGilbertElliott:
           throw std::invalid_argument{
               "ChannelModelSpec: gilbert_base cannot itself be gilbert-elliott"};

@@ -280,7 +280,7 @@ struct ChannelModelSpec {
   ShadowingParams shadowing;
 
   // kGilbertElliott knobs, plus the base model the burst layer multiplies
-  // into (kUnitDisc or kLogNormalShadowing).
+  // into (kUnitDisc, kLogNormalShadowing or kPrrTrace).
   GilbertElliottParams gilbert;
   LinkModelKind gilbert_base = LinkModelKind::kUnitDisc;
 

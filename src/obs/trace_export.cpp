@@ -56,6 +56,9 @@ const char* category_of(TraceType t) {
     case TraceType::kSleepStart:
     case TraceType::kSleepSkip:
       return "sleep";
+    case TraceType::kFaultDown:
+    case TraceType::kFaultUp:
+      return "fault";
     case TraceType::kCount:
       break;
   }

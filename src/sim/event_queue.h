@@ -4,35 +4,46 @@
 // deterministic for a given seed.
 //
 // Structure: virtual time is cut into fixed-width buckets (16.4 us — the
-// scale of MAC slots and inter-frame spaces); kBuckets consecutive buckets
-// form one wheel epoch. Entries are 16-byte PODs (time, packed seq+slot)
-// appended unsorted to their bucket; a bucket is sorted by (time, seq)
-// once, when the drain cursor reaches it, so ordering costs O(n log b)
-// over tiny contiguous runs instead of a binary heap's cache-hostile
-// sift per operation. Events beyond the current epoch wait in an unsorted
-// overflow list and migrate wheel-ward at epoch boundaries; an occupancy
-// bitmap skips empty buckets in O(1), so sparse stretches (sleeping
-// networks) cost nothing. The pop sequence is the total order (time, seq)
-// regardless of bucket geometry — determinism never depends on the wheel
-// parameters.
+// scale of MAC slots and inter-frame spaces). The wheel holds the kBuckets
+// consecutive buckets starting at the drain cursor; the window slides with
+// the cursor, so any event less than one full span (16.8 ms) ahead files
+// straight into its bucket. Entries are 16-byte PODs (time, packed
+// seq+slot) appended unsorted to their bucket; a bucket is sorted by
+// (time, seq) once, when the cursor reaches it, so ordering costs
+// O(n log b) over tiny contiguous runs instead of a binary heap's
+// cache-hostile sift per operation. Events a full span or more ahead wait
+// in an unsorted overflow list. They migrate wheel-ward with half-span
+// hysteresis: only when the next bucket to drain comes within half a span
+// of the earliest overflow entry, and then everything inside the new
+// window moves at once. A wheel that empties jumps straight to the
+// earliest overflow bucket, so long idle stretches (sleeping networks)
+// cost one migration, and an occupancy bitmap skips empty buckets in
+// O(1). The pop sequence is the total order (time, seq) regardless of
+// bucket geometry — determinism never depends on the wheel parameters.
 //
-// Callbacks and liveness state live in a slot table indexed directly by
-// the high half of the EventId, split into a 16-byte metadata record
-// (four per cache line, all the skim loop touches) and a 64-byte
-// InlineCallback (loaded exactly once, on pop). Pushing never touches the
+// Every pending event has exactly one wheel entry, and its slot records
+// where that entry sits (bucket, index). cancel() and rearm() remove it at
+// once — swap-remove in unsorted buckets and the overflow list, an
+// ordered erase in the sorted cursor bucket — so nothing dead is ever
+// sorted, migrated, or skimmed. rearm() retimes a pending event without
+// releasing its slot or touching its callback: the entry takes a fresh
+// seq and is refiled, which is exactly what cancel+push would have
+// produced minus the callback churn.
+//
+// Callbacks live in a slot table indexed directly by the high half of the
+// EventId, split into a 12-byte location record and a 64-byte
+// InlineCallback (touched on push and pop only). push() constructs the
+// callable in its slot's InlineCallback in place, and never touches the
 // heap allocator; with reserve() sized to the expected event population,
-// steady-state push/pop is allocation-free. Cancellation flips the slot's
-// state — no hash lookups anywhere — and dead entries are skimmed when
-// they surface. rearm() retimes a pending event without releasing its
-// slot or touching its callback: the old wheel entry becomes a tombstone
-// (its seq no longer matches the slot's live seq) and a fresh entry is
-// filed, which is exactly what cancel+push would have produced minus the
-// callback churn. Slots are recycled through a free list; a generation
-// counter folded into the EventId makes stale cancels (of an already-
-// fired or recycled id) harmless no-ops.
+// steady-state push/pop is allocation-free. Slots are recycled through a
+// free list as soon as their event fires or is cancelled; a generation
+// counter folded into the EventId makes stale cancels (of an already-fired
+// or recycled id) harmless no-ops.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -52,11 +63,17 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  // Enqueues `cb` to fire at `t`. Returns a handle usable with `cancel`
-  // and `rearm`.
-  EventId push(util::Time t, Callback cb);
-  // Marks an event as cancelled; it is discarded when it reaches the head.
-  // Cancelling an unknown or already-fired id is a harmless no-op.
+  // Enqueues `f` (any callable InlineCallback accepts, or an
+  // InlineCallback rvalue) to fire at `t`, constructing it directly in its
+  // slot. Returns a handle usable with `cancel` and `rearm`.
+  template <typename F>
+  EventId push(util::Time t, F&& f) {
+    const std::uint32_t slot = acquire_slot_();
+    cbs_[slot].emplace(std::forward<F>(f));
+    return file_new_(t, slot);
+  }
+  // Removes a pending event and frees its callback. Cancelling an unknown
+  // or already-fired id is a harmless no-op.
   void cancel(EventId id);
   // Re-times a still-pending event, keeping its slot, callback, and id.
   // Returns false (a no-op) if `id` is stale — already fired, cancelled,
@@ -66,21 +83,21 @@ class EventQueue {
   // ordering is preserved bit-for-bit.
   bool rearm(EventId id, util::Time t);
 
-  bool empty() const;
-  // Timestamp of the next live event. Precondition: !empty().
+  bool empty() const { return live_ == 0; }
+  // Timestamp of the next event. Precondition: !empty().
   util::Time next_time() const;
-  // Removes and returns the next live event (the callback is moved out of
-  // its slot, never copied). Precondition: !empty().
+  // Removes and returns the next event (the callback is moved out of its
+  // slot, never copied). Precondition: !empty().
   std::pair<util::Time, Callback> pop();
   // Fused empty()/next_time()/pop() for the simulator's run loop: pops the
-  // next live event into (t, cb, id) iff its timestamp is <= `limit`. One
-  // head skim instead of three. `id` is the popped event's handle (the same
-  // value push() returned), so tracing can correlate pops with pushes.
+  // next event into (t, cb, id) iff its timestamp is <= `limit`. `id` is
+  // the popped event's handle (the same value push() returned), so tracing
+  // can correlate pops with pushes.
   bool pop_until(util::Time limit, util::Time& t, Callback& cb, EventId& id);
 
-  std::size_t size() const { return live_; }  // live events only
-  // High-water mark of live events — the event population a harness should
-  // reserve() for on the next comparable run.
+  std::size_t size() const { return live_; }
+  // High-water mark of pending events — the event population a harness
+  // should reserve() for on the next comparable run.
   std::size_t peak_live() const { return peak_live_; }
 
   // Pre-sizes the slot table, free list, overflow list, and wheel-bucket
@@ -123,23 +140,26 @@ class EventQueue {
     }
   };
 
-  // Slot bookkeeping, split from the callbacks so the head-skimming loop
-  // (drop_dead_) touches only this 16-byte record — four per cache line —
-  // and the 64-byte callback line is loaded exactly once, on pop.
-  struct SlotMeta {
-    std::uint64_t live_seq = 0;   // seq of the entry that may fire this slot
-    std::uint32_t generation = 0;
-    // Bit 31: pending (pushed, not yet popped or cancelled). Bits 0..30:
-    // count of wheel entries (live + tombstone) pointing at this slot.
-    std::uint32_t entries_pending = 0;
+  // --- Calendar wheel geometry -------------------------------------------
+  // 16.4 us buckets; 1024 of them span 16.8 ms — wide enough that MAC
+  // timing (slots, SIFS/DIFS, backoff, ACK timeouts) stays in-wheel and
+  // only second-scale protocol timers take the overflow path.
+  static constexpr int kBucketShift = 14;  // bucket width = 2^14 ns
+  static constexpr std::size_t kBucketsLog2 = 10;
+  static constexpr std::size_t kBuckets = 1u << kBucketsLog2;
+  static constexpr std::int64_t kSpan = static_cast<std::int64_t>(kBuckets);
+  static constexpr std::size_t kBitmapWords = kBuckets / 64;
+  static constexpr std::int64_t kNoBucket =
+      std::numeric_limits<std::int64_t>::max();
 
-    static constexpr std::uint32_t kPendingBit = 0x80000000u;
-    bool pending() const { return (entries_pending & kPendingBit) != 0; }
-    void set_pending(bool p) {
-      entries_pending = p ? entries_pending | kPendingBit
-                          : entries_pending & ~kPendingBit;
-    }
-    std::uint32_t entries() const { return entries_pending & ~kPendingBit; }
+  // Where a slot's entry lives: a wheel bucket (0..kBuckets-1), the
+  // overflow list, or nowhere (the slot is free).
+  static constexpr std::uint32_t kFar = kBuckets;
+  static constexpr std::uint32_t kFree = kBuckets + 1;
+  struct SlotMeta {
+    std::uint32_t generation = 0;
+    std::uint32_t list = kFree;
+    std::uint32_t index = 0;  // position of the entry within `list`
   };
 
   // EventId layout: (slot + 1) in the high 32 bits, generation in the low
@@ -147,34 +167,52 @@ class EventQueue {
   static EventId encode_(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot) + 1) << 32 | generation;
   }
-  // Slot index for a valid-looking id, or >= meta_.size() when out of range.
-  std::uint32_t decode_slot_(EventId id) const {
-    const std::uint64_t slot_plus_1 = id >> 32;
-    return slot_plus_1 == 0 ? static_cast<std::uint32_t>(meta_.size())
-                            : static_cast<std::uint32_t>(slot_plus_1 - 1);
-  }
-
-  // --- Calendar wheel geometry -------------------------------------------
-  // 16.4 us buckets; 1024 of them cover a 16.8 ms epoch — wide enough that
-  // MAC timing (slots, SIFS/DIFS, backoff, ACK timeouts) stays in-wheel
-  // and only second-scale protocol timers take the overflow path.
-  static constexpr int kBucketShift = 14;  // bucket width = 2^14 ns
-  static constexpr std::size_t kBucketsLog2 = 10;
-  static constexpr std::size_t kBuckets = 1u << kBucketsLog2;  // per epoch
-  static constexpr std::size_t kBitmapWords = kBuckets / 64;
+  // Slot of the pending event `id` names, or meta_.size() when `id` is
+  // invalid, stale, or out of range.
+  std::uint32_t pending_slot_(EventId id) const;
 
   // Global bucket index of `t` (negative times clamp to bucket 0; the
   // simulator never schedules in the past, this only guards raw users).
   static std::int64_t bucket_of_(util::Time t) {
     return (t.ns() < 0 ? 0 : t.ns()) >> kBucketShift;
   }
-  static std::int64_t epoch_of_(std::int64_t g) {
-    return g >> kBucketsLog2;
+  std::uint32_t cur_slot_() const {
+    return static_cast<std::uint32_t>(cur_g_) & (kBuckets - 1);
+  }
+  std::vector<Entry>& list_(std::uint32_t list) const {
+    return list == kFar ? far_ : buckets_[list];
   }
 
-  // Files an entry into the wheel, the overflow list, or — for times at or
-  // behind the drain cursor — the sorted remainder of the current bucket.
-  void file_(Entry e) const;
+  std::uint32_t acquire_slot_() {
+    if (free_slots_.empty()) {
+      meta_.emplace_back();
+      cbs_.emplace_back();
+      return static_cast<std::uint32_t>(meta_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  // Next insertion seq; Entry packs it into 64 - kSlotBits bits.
+  std::uint64_t take_seq_() {
+    assert(next_seq_ < (1ull << (64 - Entry::kSlotBits)) &&
+           "event seq space exhausted (~1.1e12 pushes per queue)");
+    return next_seq_++;
+  }
+  // Files a freshly pushed slot's entry; returns its EventId.
+  EventId file_new_(util::Time t, std::uint32_t slot);
+  void release_slot_(std::uint32_t slot);
+
+  // Files an entry into the cursor bucket (times at or behind the cursor,
+  // kept sorted), its wheel bucket, or the overflow list.
+  void file_(Entry e);
+  // Appends `e` to an unsorted list (wheel bucket or overflow).
+  void append_(std::uint32_t list, Entry e) const;
+  // Removes `slot`'s entry from wherever it sits.
+  void unlink_(std::uint32_t slot);
+  // Moves every overflow entry inside the window starting at global
+  // bucket `base` into the wheel and recomputes far_min_g_.
+  void migrate_(std::int64_t base) const;
   void bitmap_set_(std::size_t slot) const {
     occupancy_[slot >> 6] |= 1ull << (slot & 63);
   }
@@ -183,37 +221,32 @@ class EventQueue {
   }
   // First occupied bucket at position >= from, or kBuckets when none.
   std::size_t bitmap_find_from_(std::size_t from) const;
-  // Advances the drain cursor to the next entry (sorting its bucket on
-  // arrival, migrating overflow entries at epoch boundaries). Returns
-  // false when no entries remain anywhere.
-  bool ensure_head_() const;
-  // Precondition: ensure_head_() returned true.
-  const Entry& head_() const { return buckets_[cur_slot_()][drain_]; }
-  void pop_head_() const { ++drain_; }
-  std::size_t cur_slot_() const {
-    return static_cast<std::size_t>(cur_g_) & (kBuckets - 1);
-  }
-
-  // Skims dead entries (cancelled, fired, or rearm tombstones) off the
-  // head; they are unobservable, so this is observably const. Returns
-  // false when no live entry remains.
-  bool drop_dead_() const;
-  // One wheel entry referencing `slot` has surfaced; release the slot once
-  // no entry references it and nothing is pending.
-  void entry_surfaced_(std::uint32_t slot) const;
-  void release_slot_(std::uint32_t slot) const;
+  // Global index of the first occupied wheel bucket after the cursor, or
+  // kNoBucket.
+  std::int64_t next_wheel_bucket_() const;
+  // Advances the drain cursor to the next entry, sorting its bucket on
+  // arrival and migrating overflow entries as the window slides.
+  // Precondition: live_ > 0.
+  void ensure_head_() const;
+  // Pops the head entry (ensure_head_ has run) and frees its slot; the
+  // callback moves into `cb`.
+  Entry take_head_(Callback& cb);
 
   mutable std::vector<std::vector<Entry>> buckets_{kBuckets};
   mutable std::uint64_t occupancy_[kBitmapWords] = {};
-  mutable std::vector<Entry> far_;     // entries beyond the current epoch
-  mutable std::int64_t cur_g_ = 0;     // global bucket index being drained
-  mutable std::size_t drain_ = 0;      // next position in the current bucket
-  // The current bucket is sorted from drain_ onward — by insertion for
-  // entries filed at the cursor, or by the deferred bulk sort below.
-  mutable bool cur_sorted_ = true;
+  mutable std::vector<Entry> far_;  // entries a full span or more ahead
+  // Lower bound on the global bucket of every overflow entry, kNoBucket
+  // while the list is empty. Exact after each migration; a cancel or rearm
+  // that leaves the list non-empty may leave it below the true minimum, but
+  // never behind the cursor.
+  mutable std::int64_t far_min_g_ = kNoBucket;
+  mutable std::int64_t cur_g_ = 0;  // global bucket index being drained
+  // The cursor bucket is sorted by (time, seq) from drain_ onward; the
+  // entries before drain_ have fired.
+  mutable std::size_t drain_ = 0;
   mutable std::vector<SlotMeta> meta_;
-  mutable std::vector<Callback> cbs_;  // parallel to meta_
-  mutable std::vector<std::uint32_t> free_slots_;
+  std::vector<Callback> cbs_;  // parallel to meta_
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;

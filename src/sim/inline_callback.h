@@ -43,17 +43,7 @@ class InlineCallback {
                 !std::is_same_v<std::decay_t<F>, InlineCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineCallback(F&& f) {  // NOLINT: implicit, mirrors std::function
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "capture too large for InlineCallback's inline buffer — "
-                  "capture a pointer/handle instead (e.g. net::PacketRef, "
-                  "not a Packet) or raise kCapacity");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned captures are not supported");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "callables stored in events must be nothrow-movable");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-    ops_ = &ops_for_<Fn>;
+    construct_(std::forward<F>(f));
   }
 
   InlineCallback(InlineCallback&& other) noexcept { move_from_(other); }
@@ -86,6 +76,21 @@ class InlineCallback {
   // it may destroy/replace this InlineCallback's owner (the usual
   // fire-then-rearm pattern moves the callback out first).
   void operator()() { ops_->invoke(buf_); }
+
+  // Replaces the held callable with `f`, constructed directly in this
+  // object's buffer (no temporary InlineCallback to relocate from). An
+  // InlineCallback rvalue or nullptr is assigned as usual.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, InlineCallback> ||
+                  std::is_same_v<Fn, std::nullptr_t>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      construct_(std::forward<F>(f));
+    }
+  }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -120,6 +125,21 @@ class InlineCallback {
           ? nullptr
           : +[](void* p) { static_cast<Fn*>(p)->~Fn(); },
   };
+
+  template <typename F>
+  void construct_(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "capture too large for InlineCallback's inline buffer — "
+                  "capture a pointer/handle instead (e.g. net::PacketRef, "
+                  "not a Packet) or raise kCapacity");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned captures are not supported");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "callables stored in events must be nothrow-movable");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &ops_for_<Fn>;
+  }
 
   void move_from_(InlineCallback& other) noexcept {
     ops_ = other.ops_;

@@ -6,18 +6,6 @@
 
 namespace essat::sim {
 
-EventId Simulator::schedule_at(util::Time t, Callback cb) {
-  const util::Time at = std::max(t, now_);
-  const EventId id = queue_.push(at, std::move(cb));
-  ESSAT_TRACE(*this, obs::TraceType::kEvPush, -1, 0, id,
-              static_cast<std::uint64_t>(at.ns()));
-  return id;
-}
-
-EventId Simulator::schedule_in(util::Time delay, Callback cb) {
-  return schedule_at(now_ + std::max(delay, util::Time::zero()), std::move(cb));
-}
-
 bool Simulator::rearm(EventId id, util::Time t) {
   const util::Time at = std::max(t, now_);
   const bool ok = queue_.rearm(id, at);

@@ -7,6 +7,9 @@
 // inline_callback.h for the SBO contract).
 #pragma once
 
+#include <algorithm>
+#include <utility>
+
 #include "src/obs/tracer.h"
 #include "src/sim/event_queue.h"
 #include "src/util/time.h"
@@ -24,10 +27,23 @@ class Simulator {
   // Current virtual time. Starts at 0.
   util::Time now() const { return now_; }
 
-  // Schedules `cb` at absolute time `t` (clamped to `now()` if in the past).
-  EventId schedule_at(util::Time t, Callback cb);
-  // Schedules `cb` after `delay` (clamped to 0 if negative).
-  EventId schedule_in(util::Time delay, Callback cb);
+  // Schedules `f` at absolute time `t` (clamped to `now()` if in the past).
+  // The callable is forwarded straight into its queue slot (see
+  // EventQueue::push).
+  template <typename F>
+  EventId schedule_at(util::Time t, F&& f) {
+    const util::Time at = std::max(t, now_);
+    const EventId id = queue_.push(at, std::forward<F>(f));
+    ESSAT_TRACE(*this, obs::TraceType::kEvPush, -1, 0, id,
+                static_cast<std::uint64_t>(at.ns()));
+    return id;
+  }
+  // Schedules `f` after `delay` (clamped to 0 if negative).
+  template <typename F>
+  EventId schedule_in(util::Time delay, F&& f) {
+    return schedule_at(now_ + std::max(delay, util::Time::zero()),
+                       std::forward<F>(f));
+  }
   void cancel(EventId id) {
     ESSAT_TRACE(*this, obs::TraceType::kEvCancel, -1, 0, id, 0);
     queue_.cancel(id);

@@ -44,8 +44,12 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d{mean, stddev};
-  return d(gen_);
+  // Scale a standard draw rather than passing stddev to the distribution:
+  // libstdc++ requires stddev > 0 there, and a zero spread (e.g. shadowing
+  // off) must simply return the mean. z * stddev + mean is the formula
+  // libstdc++ applies itself, so draws for stddev > 0 are bit-identical.
+  std::normal_distribution<double> d{0.0, 1.0};
+  return d(gen_) * stddev + mean;
 }
 
 bool Rng::bernoulli(double p) {

@@ -42,7 +42,8 @@ class Rng {
   Time uniform_time(Time lo, Time hi);
   // Exponential with the given mean (> 0).
   double exponential(double mean);
-  // Gaussian with the given mean and standard deviation.
+  // Gaussian with the given mean and standard deviation (>= 0; 0 returns
+  // `mean`).
   double normal(double mean, double stddev);
   bool bernoulli(double p);
 

@@ -398,6 +398,32 @@ TEST(PrrTrace, SpecBuildsTraceModelOnChannel) {
   EXPECT_EQ(ch.dropped_by_model(0, 1), 20u);
 }
 
+// A Gilbert-Elliott wrapper over a PRR trace must consult the trace: with
+// the chain pinned to its lossless good state, a link whose trace PRR is 0
+// still never delivers (a unit-disc base would deliver every frame).
+TEST(PrrTrace, GilbertElliottOverTraceHonoursTheTrace) {
+  const Topology topo = line_topo();
+  sim::Simulator sim;
+  Channel ch{sim, topo};
+  ChannelModelSpec spec;
+  spec.kind = LinkModelKind::kGilbertElliott;
+  spec.gilbert_base = LinkModelKind::kPrrTrace;
+  spec.gilbert.p_good_to_bad = 0.0;
+  spec.gilbert.p_bad_to_good = 1.0;
+  spec.gilbert.prr_good = 1.0;
+  spec.prr_trace = {{0, 1, 0.0}};
+  spec.prr_trace_default = 1.0;
+  auto model = spec.build(topo.range(), util::Rng{3});
+  ASSERT_NE(model, nullptr);
+  EXPECT_STREQ(model->name(), "gilbert-elliott");
+  ch.set_link_model(std::move(model));
+  Listener l1;
+  l1.listen_on(ch, 1);
+  send_frames(sim, ch, 20);
+  EXPECT_EQ(ch.delivered(), 0u);
+  EXPECT_EQ(ch.dropped_by_model(0, 1), 20u);
+}
+
 TEST(PrrTrace, KindNameRoundTrips) {
   EXPECT_EQ(link_model_kind_from_name(link_model_kind_name(
                 LinkModelKind::kPrrTrace)),

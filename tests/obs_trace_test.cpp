@@ -336,6 +336,27 @@ TEST(TracedRun, SamplerAndExportersProduceOutput) {
   EXPECT_EQ(line.rfind("{\"t_ns\":", 0), 0u);
 }
 
+// Every record type has an export category: a churn run's fault records
+// must come out as "fault", and nothing as the "?" fallback.
+TEST(TracedRun, ChurnRunExportsNoUnknownCategory) {
+  harness::ScenarioConfig config = small_config();
+  config.faults.churn.node_fraction = 0.3;
+  config.faults.churn.mean_downtime_s = 1.0;
+  config.trace = basic_spec();
+  const std::string dir = ::testing::TempDir();
+  config.trace.perfetto_path = dir + "/obs_churn_{seed}.perfetto.json";
+  harness::run_scenario(config);
+
+  std::ifstream perfetto(dir + "/obs_churn_7.perfetto.json");
+  ASSERT_TRUE(perfetto.good());
+  std::stringstream buf;
+  buf << perfetto.rdbuf();
+  const std::string json = buf.str();
+  EXPECT_NE(json.find("\"cat\":\"fault\""), std::string::npos)
+      << "churn run exported no fault records";
+  EXPECT_EQ(json.find("\"cat\":\"?\""), std::string::npos);
+}
+
 TEST(TracedRun, OnlySeedGatesSweepTracing) {
   harness::ScenarioConfig config = small_config();
   config.trace = basic_spec();

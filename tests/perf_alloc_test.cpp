@@ -5,6 +5,8 @@
 // of the numbers.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
 
@@ -47,6 +49,60 @@ TEST(SteadyStateAlloc, EventPushPopIsAllocationFree) {
     EXPECT_EQ(scope.count(), 0u) << "event push/pop allocated after warm-up";
   }
   EXPECT_GT(sink, 0u);
+}
+
+// The MAC's queue shape: most scheduled backoffs are cancelled or re-armed
+// before they fire, while protocol timers a full wheel span or more ahead
+// wait in the overflow list and migrate into the wheel as it slides. After
+// warm-up, none of it — cancels, rearms, overflow pushes, migrations — may
+// allocate.
+TEST(SteadyStateAlloc, CancelHeavyQueueWithOverflowMigrationsIsAllocationFree) {
+  sim::Simulator sim;
+  sim.reserve_events(256);
+  // The tick is a whole number of wheel buckets (2^14 ns), so each tick's
+  // pushes land on the same bucket pattern and warm-up grows every bucket
+  // the steady state will use.
+  const Time tick = Time::nanoseconds(std::int64_t{64} << 14);
+  struct MacPattern {
+    sim::Simulator& sim;
+    Time tick;
+    std::array<sim::EventId, 16> backoff{};
+    std::array<sim::EventId, 16> timer{};
+    std::uint64_t ticks = 0;
+    std::uint64_t fired = 0;
+
+    void on_tick() {
+      ++ticks;
+      for (std::size_t i = 0; i < backoff.size(); ++i) {
+        // Odd nodes back off past the next tick and are cancelled there;
+        // even nodes' backoffs fire.
+        const auto k = static_cast<std::int64_t>(i);
+        sim.cancel(backoff[i]);
+        const std::int64_t delay_us = (i % 2 == 1 ? 1500 : 200) + 10 * k;
+        backoff[i] =
+            sim.schedule_in(Time::microseconds(delay_us), [this] { ++fired; });
+        if ((ticks + i) % 3 != 0) continue;
+        // Overflow timers (40-55 ms ahead): a quarter fire, a quarter are
+        // re-armed, the rest are cancelled and pushed again.
+        const Time at = sim.now() + Time::milliseconds(40 + k);
+        if (i % 4 == 1 && sim.rearm(timer[i], at)) continue;
+        if (i % 4 != 0) sim.cancel(timer[i]);
+        timer[i] = sim.schedule_at(at, [this] { ++fired; });
+      }
+      sim.schedule_in(tick, [this] { on_tick(); });
+    }
+  };
+  MacPattern d{sim, tick};
+  sim.schedule_in(tick, [&d] { d.on_tick(); });
+  sim.run_until(Time::seconds(1));  // warm-up
+  const std::uint64_t fired_before = d.fired;
+  {
+    CountScope scope;
+    sim.run_until(Time::seconds(3));
+    EXPECT_EQ(scope.count(), 0u)
+        << "cancel-heavy queue with overflow migrations allocated";
+  }
+  EXPECT_GT(d.fired - fired_before, 10000u);  // the window really ran
 }
 
 TEST(SteadyStateAlloc, TimerRearmIsAllocationFree) {
@@ -148,7 +204,7 @@ TEST(SteadyStateAlloc, EpochRolloverIsAllocationFree) {
       [&root_arrivals](const query::Query&, std::int64_t, Time, int) {
         ++root_arrivals;
       });
-  // Period a multiple of the calendar wheel's epoch (1024 buckets of
+  // Period a multiple of the calendar wheel's span (1024 buckets of
   // 2^14 ns): every epoch's deterministic timer cluster (sends, deadlines)
   // then lands in the same wheel buckets the warm-up epochs already grew,
   // so the assertion checks the true steady state instead of racing bucket

@@ -280,6 +280,301 @@ TEST(EventQueue, MatchesReferenceModelOnRandomOps) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Wheel-geometry cases. The queue's buckets are 2^14 ns wide and its window
+// spans 1024 of them; these tests aim at the edges of that geometry (window
+// edge, overflow migration, empty-wheel jumps, removal from each kind of
+// bucket) and check every pop against a reference model of the (time, seq)
+// order.
+
+constexpr std::int64_t kBucketNs = std::int64_t{1} << 14;
+constexpr std::int64_t kSpanNs = 1024 * kBucketNs;
+
+// EventQueue plus a reference model: live (time, seq, tag) triples with the
+// same cancel/rearm semantics. Every pop is checked against the model.
+class CheckedQueue {
+ public:
+  int push(std::int64_t t_ns) {
+    const int tag = static_cast<int>(ids_.size());
+    ids_.push_back(
+        q_.push(Time::nanoseconds(t_ns), [this, tag] { fired_ = tag; }));
+    ref_.push_back(Ref{t_ns, seq_++, tag});
+    return tag;
+  }
+  void cancel(int tag) {
+    q_.cancel(ids_[static_cast<std::size_t>(tag)]);
+    for (std::size_t i = 0; i < ref_.size(); ++i) {
+      if (ref_[i].tag == tag) {
+        ref_.erase(ref_.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+  }
+  // Returns whether the queue accepted the rearm (the tag was pending).
+  bool rearm(int tag, std::int64_t t_ns) {
+    const bool ok = q_.rearm(ids_[static_cast<std::size_t>(tag)],
+                             Time::nanoseconds(t_ns));
+    bool pending = false;
+    for (Ref& r : ref_) {
+      if (r.tag == tag) {
+        r.time_ns = t_ns;
+        r.seq = seq_;
+        pending = true;
+      }
+    }
+    if (pending) ++seq_;
+    EXPECT_EQ(ok, pending) << "tag " << tag;
+    return ok;
+  }
+  bool pending(int tag) const {
+    for (const Ref& r : ref_) {
+      if (r.tag == tag) return true;
+    }
+    return false;
+  }
+  // Pops one event and checks it is the model's minimum; returns its tag.
+  int pop() {
+    EXPECT_EQ(q_.size(), ref_.size());
+    EXPECT_FALSE(q_.empty());
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < ref_.size(); ++i) {
+      if (ref_[i].time_ns < ref_[best].time_ns ||
+          (ref_[i].time_ns == ref_[best].time_ns &&
+           ref_[i].seq < ref_[best].seq)) {
+        best = i;
+      }
+    }
+    const Ref want = ref_[best];
+    ref_.erase(ref_.begin() + static_cast<std::ptrdiff_t>(best));
+    EXPECT_EQ(q_.next_time(), Time::nanoseconds(want.time_ns));
+    auto [t, cb] = q_.pop();
+    cb();
+    EXPECT_EQ(t.ns(), want.time_ns);
+    EXPECT_EQ(fired_, want.tag);
+    now_ns_ = t.ns();
+    return fired_;
+  }
+  // Pops everything; returns the tags in pop order.
+  std::vector<int> drain() {
+    std::vector<int> tags;
+    while (!ref_.empty()) tags.push_back(pop());
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(q_.size(), 0u);
+    return tags;
+  }
+  std::int64_t now_ns() const { return now_ns_; }
+  std::size_t live() const { return ref_.size(); }
+
+ private:
+  struct Ref {
+    std::int64_t time_ns;
+    std::uint64_t seq;
+    int tag;
+  };
+  EventQueue q_;
+  std::vector<EventId> ids_;
+  std::vector<Ref> ref_;
+  std::uint64_t seq_ = 0;
+  int fired_ = -1;
+  std::int64_t now_ns_ = 0;
+};
+
+TEST(EventQueueWheel, WindowEdgeEventsFireInOrder) {
+  CheckedQueue q;
+  // Park the drain cursor mid-way into bucket 5.
+  const std::int64_t cur = 5 * kBucketNs;
+  q.push(cur + 100);
+  q.pop();
+  // Buckets cur+1023 (last in-window), cur+1024 and cur+1025 (overflow),
+  // at their first and last nanoseconds, pushed far-first.
+  const std::int64_t edge = cur + kSpanNs;  // first ns of bucket cur+1024
+  const std::int64_t times[] = {edge + kBucketNs,     edge + kBucketNs - 1,
+                                edge,                 edge - 1,
+                                edge - kBucketNs,     edge + 2 * kBucketNs - 1,
+                                edge,                 edge - 1};
+  for (const std::int64_t t : times) q.push(t);
+  const std::vector<int> order = q.drain();
+  // Same-timestamp pairs keep push order: tag 3 (edge) before 7, 4 before 8.
+  EXPECT_EQ(order, (std::vector<int>{5, 4, 8, 3, 7, 2, 1, 6}));
+}
+
+TEST(EventQueueWheel, OverflowMigratesAsTheWindowSlides) {
+  CheckedQueue q;
+  // Overflow entries spread over six spans, at quarter-span steps.
+  for (int k = 4; k < 24; ++k) q.push(k * kSpanNs / 4 + 7 * k);
+  // Two near-term chains walk the cursor forward, each pop pushing one
+  // in-window event, so the window slides across every overflow entry and
+  // each migrates while the wheel is still busy.
+  q.push(1'000'000);
+  q.push(250'000);
+  for (int step = 0; q.now_ns() < 6 * kSpanNs; ++step) {
+    q.pop();
+    const std::int64_t now = q.now_ns();
+    q.push(step % 2 == 0 ? now + 1'000'000
+                         : now + 250'000 + (now % 7) * kBucketNs);
+  }
+  q.drain();
+}
+
+TEST(EventQueueWheel, EmptyWheelJumpsMultiSecondGaps) {
+  CheckedQueue q;
+  q.push(1'000'000);
+  q.pop();
+  // Nothing in the wheel: each pop must jump straight to the next far
+  // event, seconds away, and land on its exact bucket.
+  q.push(5'000'000'000);
+  q.push(12'700'000'003);
+  q.push(5'000'003'000);
+  q.push(5'000'000'000);
+  EXPECT_EQ(q.pop(), 1);
+  // Behind-the-head push after the jump: files into the cursor bucket.
+  q.push(5'000'000'000);
+  EXPECT_EQ(q.drain(), (std::vector<int>{4, 5, 3, 2}));
+  // A gap after the queue emptied completely.
+  q.push(40'000'000'000);
+  q.push(39'999'999'999);
+  EXPECT_EQ(q.drain(), (std::vector<int>{7, 6}));
+}
+
+TEST(EventQueueWheel, CancelAndRearmInTheSortedCursorBucket) {
+  CheckedQueue q;
+  const std::int64_t base = 9 * kBucketNs;
+  for (int i = 0; i < 8; ++i) q.push(base + 10 * (8 - i));  // one bucket
+  q.push(base + 200);
+  EXPECT_EQ(q.pop(), 7);  // the cursor is now on the sorted bucket
+  q.cancel(5);            // middle of the sorted run
+  q.cancel(0);            // its tail
+  q.cancel(6);            // its new head
+  q.rearm(1, base + 75);  // moves later within the cursor bucket
+  q.rearm(3, base + 65);  // ...past its neighbour
+  q.rearm(4, base + 15);  // moves to the front, behind the popped head
+  q.rearm(8, base + 3 * kBucketNs);  // leaves the cursor bucket
+  q.rearm(1, base + 2 * kSpanNs);    // leaves for the overflow list
+  q.push(base + 60);                 // ties an existing time: FIFO after it
+  q.drain();
+}
+
+TEST(EventQueueWheel, CancelAndRearmInAnUnsortedBucket) {
+  CheckedQueue q;
+  const std::int64_t b = 300 * kBucketNs;  // a future bucket
+  for (int i = 0; i < 6; ++i) q.push(b + 100 * (i % 3) + i);
+  q.cancel(2);                  // swap-remove from the middle
+  q.cancel(5);                  // the last entry
+  q.rearm(0, b + 5000);         // retime within the same bucket
+  q.rearm(1, b + kBucketNs);    // to the next bucket
+  q.rearm(3, 2 * kBucketNs);    // to an earlier bucket
+  q.rearm(4, b + 2 * kSpanNs);  // to the overflow list
+  q.cancel(3);
+  q.push(b + 5000);             // ties tag 0's new time
+  EXPECT_EQ(q.drain(), (std::vector<int>{0, 6, 1, 4}));
+}
+
+TEST(EventQueueWheel, CancelAndRearmInTheOverflowList) {
+  CheckedQueue q;
+  q.push(3 * kSpanNs);      // 0: overflow minimum
+  q.push(5 * kSpanNs + 1);  // 1
+  q.push(4 * kSpanNs);      // 2
+  q.push(9 * kSpanNs);      // 3
+  q.push(kBucketNs);        // 4: in-window
+  q.cancel(0);              // cancel the overflow minimum
+  q.rearm(1, 7 * kSpanNs);  // retime within the overflow list
+  q.rearm(3, 20 * kBucketNs);  // overflow -> wheel
+  q.rearm(4, 6 * kSpanNs);     // wheel -> overflow
+  EXPECT_EQ(q.pop(), 3);
+  // The overflow minimum (tag 0) was cancelled: the jump must still land
+  // on the true minimum.
+  EXPECT_EQ(q.pop(), 2);
+  q.cancel(4);  // the new overflow minimum, after a migration
+  EXPECT_EQ(q.drain(), (std::vector<int>{1}));
+}
+
+TEST(EventQueueWheel, SameTimestampFifoAcrossMigration) {
+  CheckedQueue q;
+  const std::int64_t t = 3 * kSpanNs / 2 + 12345;
+  const int a = q.push(t);  // overflow
+  // Walk the cursor until `t` is inside the window but not yet within the
+  // migration distance, then push a twin that files straight into the
+  // wheel while `a` still waits in the overflow list.
+  q.push(0);
+  q.pop();
+  while (t - q.now_ns() >= kSpanNs * 7 / 10) {
+    q.push(q.now_ns() + 200'000);
+    q.pop();
+  }
+  const int b = q.push(t);
+  const int c = q.push(t - 1);
+  // Keep walking across the migration; the twins keep push order.
+  while (q.now_ns() + 200'000 < t) {
+    q.push(q.now_ns() + 200'000);
+    q.pop();
+  }
+  const int d = q.push(t);  // after the migration
+  EXPECT_EQ(q.drain(), (std::vector<int>{c, a, b, d}));
+}
+
+// Emptying the overflow list by cancel or rearm must forget its minimum:
+// a stale bound left behind the cursor would pull the next jump backwards
+// and misplace the wheel's base, popping wheel entries in slot order.
+TEST(EventQueueWheel, EmptiedOverflowListForgetsItsMinimum) {
+  for (const bool by_rearm : {false, true}) {
+    SCOPED_TRACE(by_rearm ? "rearm" : "cancel");
+    CheckedQueue q;
+    // The only overflow entry sits in slot 900 of its span.
+    const int far = q.push(2 * kSpanNs + 900 * kBucketNs);
+    if (by_rearm) {
+      q.rearm(far, 5 * kBucketNs);
+      q.pop();
+    } else {
+      q.cancel(far);
+    }
+    // Walk the cursor past that bucket (global 2948) to about bucket 3080,
+    // leaving nothing pending.
+    while (q.now_ns() < 3080 * kBucketNs) {
+      q.push(q.now_ns() + 200'000);
+      q.pop();
+    }
+    const std::int64_t now = q.now_ns();
+    const int e1 = q.push(now + 100'000);      // wheel slot below 900
+    const int e2 = q.push(now + 15'000'000);   // wheel slot above 900
+    const int t = q.push(now + 3'000'000'000);  // new overflow entry
+    EXPECT_EQ(q.drain(), (std::vector<int>{e1, e2, t}));
+  }
+}
+
+// A MAC-shaped random workload against the reference model: most pushes
+// land 1 us - 5 ms ahead (slots, inter-frame spaces, backoffs), about a
+// third of operations cancel a pending backoff, some re-arm, and now and
+// then a second-scale protocol timer goes through the overflow list.
+TEST(EventQueueWheel, MatchesReferenceModelOnMacShapedOps) {
+  util::Rng rng{4321};
+  for (int trial = 0; trial < 8; ++trial) {
+    CheckedQueue q;
+    std::vector<int> tags;
+    for (int op = 0; op < 4000; ++op) {
+      const std::int64_t roll = rng.uniform_int(0, 99);
+      const std::int64_t now = q.now_ns();
+      if (roll < 35 && !tags.empty()) {
+        q.cancel(tags[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(tags.size()) - 1))]);
+      } else if (roll < 45 && !tags.empty()) {
+        const int tag = tags[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(tags.size()) - 1))];
+        if (q.pending(tag)) {
+          q.rearm(tag, now + rng.uniform_int(1'000, 5'000'000));
+        }
+      } else if (roll < 47) {
+        tags.push_back(
+            q.push(now + rng.uniform_int(1'000'000'000, 3'000'000'000)));
+      } else if (roll < 75 || q.live() == 0) {
+        tags.push_back(q.push(now + rng.uniform_int(1'000, 5'000'000)));
+      } else {
+        q.pop();
+      }
+    }
+    q.drain();
+  }
+}
+
 TEST(Simulator, NowAdvancesWithEvents) {
   Simulator sim;
   EXPECT_EQ(sim.now(), Time::zero());

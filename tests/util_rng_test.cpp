@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <utility>
 
 #include "src/util/rng.h"
 
@@ -93,6 +95,35 @@ TEST(Rng, BernoulliProbability) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += r.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMean) {
+  Rng r{17};
+  for (const double mean : {0.0, -3.5, 42.0}) {
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(r.normal(mean, 0.0), mean);
+  }
+}
+
+// normal() must draw exactly what std::normal_distribution{mean, sd} draws
+// from the same engine state. The reference engine is seeded the way Rng
+// seeds its own (SplitMix64 of the seed).
+TEST(Rng, NormalMatchesStdNormalDistribution) {
+  auto splitmix64 = [](std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {-92.5, 4.0}, {3.25, 0.001}, {1e6, 250.0}};
+  for (const auto& [mean, sd] : params) {
+    Rng r{99};
+    std::mt19937_64 ref{splitmix64(99)};
+    for (int i = 0; i < 100; ++i) {
+      std::normal_distribution<double> d{mean, sd};
+      ASSERT_EQ(r.normal(mean, sd), d(ref)) << mean << " " << sd << " #" << i;
+    }
+  }
 }
 
 }  // namespace
