@@ -13,7 +13,9 @@ PsmNode::PsmNode(sim::Simulator& sim, energy::Radio& radio, mac::CsmaMac& mac,
 
 void PsmNode::start(util::Time first_beacon) {
   mac_.set_tx_filter([this](const net::Packet& p) { return admit_(p); });
-  timer_.arm_at(first_beacon, [this] { on_beacon_(); });
+  // A node restarted by churn attaches after `first_beacon` has passed; its
+  // beacon schedule then starts now.
+  timer_.arm_at(std::max(first_beacon, sim_.now()), [this] { on_beacon_(); });
 }
 
 bool PsmNode::admit_(const net::Packet& p) const {

@@ -130,8 +130,10 @@ void QueryAgent::finalize_(QueryState& qs, std::int64_t k) {
 void QueryAgent::schedule_send_(QueryState& qs, std::int64_t k, EpochState& es,
                                 int contributions, util::Time ready) {
   const auto plan = shaper_.plan_send(qs.q, k, ready);
-  es.send.arm_at(plan.send_at, [this, &qs, k, contributions,
-                                update = plan.phase_update] {
+  // A node restarted by churn can open an epoch whose start (a leaf's
+  // `ready`) has already passed; such a report goes out now.
+  es.send.arm_at(std::max(plan.send_at, sim_.now()),
+                 [this, &qs, k, contributions, update = plan.phase_update] {
     submit_report_(qs, k, contributions, update);
   });
 }

@@ -106,6 +106,23 @@ TEST(Psm, UninvolvedNodesSleepAfterAtimWindow) {
   EXPECT_EQ(p0.atims_sent(), 0u);
 }
 
+// A node restarted by churn starts its beacon schedule after the network's
+// first beacon has passed: the schedule starts now rather than at a time
+// already behind the clock (which trips the Timer's armed-in-the-past
+// assert in debug builds).
+TEST(Psm, RestartedNodeWhoseFirstBeaconPassedStartsNow) {
+  BaselineRig rig{1};
+  rig.sim.run_until(Time::seconds(1));
+  PsmNode p{rig.sim, *rig.radios[0], *rig.macs[0], PsmParams{}};
+  p.start(Time::zero());
+  rig.sim.run_until(Time::from_milliseconds(1010.0));
+  EXPECT_TRUE(rig.radios[0]->is_on());  // ATIM window opened at 1 s
+  rig.sim.run_until(Time::from_milliseconds(1030.0));
+  EXPECT_TRUE(rig.radios[0]->is_off());  // nothing announced: asleep
+  rig.sim.run_until(Time::from_milliseconds(1205.0));
+  EXPECT_TRUE(rig.radios[0]->is_on());  // next beacon, one period later
+}
+
 TEST(Psm, TrafficAnnouncedAndDeliveredInDataWindow) {
   BaselineRig rig{2};
   PsmNode p0{rig.sim, *rig.radios[0], *rig.macs[0], PsmParams{}};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <random>
 
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
@@ -317,6 +318,85 @@ TEST(SteadyStateAlloc, MobilityEpochAdvanceIsAllocationFree) {
   }
   EXPECT_GE(topo.candidate_refreshes() - refreshes, 3u);
   EXPECT_GE(topo.table_publishes() - publishes, 100u);
+}
+
+// Per-link streams: the shadowing gain and the Gilbert-Elliott initial
+// state each fork a stream per fresh link and draw from it once. A fork and
+// its one-shot draw must not touch the heap — a stream serves its first 156
+// outputs from two seeded words and builds an engine only at the 157th.
+TEST(SteadyStateAlloc, ForkAndOneShotDrawIsAllocationFree) {
+  const util::Rng model_stream{11};
+  const util::Rng gain_rng = model_stream.fork(1);  // the models' fork(1)
+  double sum = 0.0;
+  {
+    CountScope scope;
+    for (net::NodeId src = 0; src < 100; ++src) {
+      for (net::NodeId dst = 0; dst < 100; ++dst) {
+        const std::uint64_t key = net::link_key(src, dst);
+        util::Rng gain = gain_rng.fork(key);  // LogNormalShadowingModel
+        sum += gain.normal(0.0, 4.0);
+        util::Rng init = gain_rng.fork(key);  // GilbertElliottModel
+        sum += init.bernoulli(1.0 / 6.0) ? 1.0 : 0.0;
+      }
+    }
+    EXPECT_EQ(scope.count(), 0u) << "fork + one-shot draw allocated";
+  }
+  EXPECT_NE(sum, 0.0);
+}
+
+// The same paths through the models: a fresh link costs its map entry (node
+// plus amortized bucket growth), never a per-link engine (2.5 KB).
+TEST(SteadyStateAlloc, FreshLinksCostTheirMapEntryOnly) {
+  constexpr std::uint64_t kLinks = 100 * 100;
+  constexpr std::uint64_t kEngineBytes = sizeof(std::mt19937_64);
+  net::LogNormalShadowingModel shadowing{net::ShadowingParams{}, 125.0,
+                                         util::Rng{11}};
+  // The frame stream is long-lived: build its engine before counting.
+  for (int i = 0; i < 200; ++i) shadowing.deliver(0, 1, 50.0);
+  net::GilbertElliottModel bursty{net::GilbertElliottParams{}, nullptr,
+                                  util::Rng{12}};
+  for (int i = 0; i < 200; ++i) bursty.deliver(0, 1, 50.0);
+  double prr = 0.0;
+  int passed = 0;
+  {
+    CountScope scope;
+    for (net::NodeId src = 0; src < 100; ++src) {
+      for (net::NodeId dst = 0; dst < 100; ++dst) {
+        prr += shadowing.link_prr(src + 2, dst, 60.0);
+      }
+    }
+    EXPECT_LT(scope.bytes() / kLinks, kEngineBytes / 8)
+        << "fresh shadowing links allocated per-link engines";
+  }
+  {
+    CountScope scope;
+    for (net::NodeId src = 0; src < 100; ++src) {
+      for (net::NodeId dst = 0; dst < 100; ++dst) {
+        passed += bursty.deliver(src + 2, dst, 60.0) ? 1 : 0;
+      }
+    }
+    EXPECT_LT(scope.bytes() / kLinks, kEngineBytes / 8)
+        << "fresh Gilbert-Elliott links allocated per-link engines";
+  }
+  EXPECT_GT(prr, 0.0);
+  EXPECT_GT(passed, 0);
+}
+
+// A long-lived stream allocates exactly once, at its 157th output (the
+// engine it draws from from then on), and never again.
+TEST(SteadyStateAlloc, LongLivedStreamBuildsItsEngineOnce) {
+  util::Rng r{5};
+  CountScope scope;
+  for (int i = 0; i < 156; ++i) r.uniform(0.0, 1.0);
+  EXPECT_EQ(scope.count(), 0u) << "the first 156 outputs allocated";
+  r.uniform(0.0, 1.0);
+  EXPECT_EQ(scope.count(), 1u) << "the 157th output did not build the engine";
+  EXPECT_EQ(scope.bytes(), sizeof(std::mt19937_64));
+  for (int i = 0; i < 100000; ++i) {
+    r.uniform_int(0, 1000);
+    r.normal(0.0, 1.0);
+  }
+  EXPECT_EQ(scope.count(), 1u) << "a stream allocated after its engine build";
 }
 
 // The packet pool recycles its control blocks: a long tx sequence keeps a

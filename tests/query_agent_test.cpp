@@ -209,6 +209,22 @@ TEST(QueryAgent, HaltStopsAllActivity) {
   EXPECT_EQ(rig.agents[3]->stats().reports_sent, sent_before);
 }
 
+// A leaf restarted after its first epoch's start has passed: the report for
+// that epoch goes out at once, not at a time already behind the clock (which
+// trips the Timer's armed-in-the-past assert in debug builds).
+TEST(QueryAgent, RestartedLeafWhoseEpochStartPassedSendsNow) {
+  AgentRig rig;
+  const Query q = one_second_query();
+  for (std::size_t i = 0; i < 3; ++i) rig.agents[i]->register_query(q);
+  rig.sim.run_until(Time::from_seconds(2.5));
+  ASSERT_LT(q.epoch_start(1), rig.sim.now());
+  rig.agents[3]->register_query_from(q, 1);
+  rig.sim.run_until(Time::from_seconds(2.6));
+  EXPECT_EQ(rig.agents[3]->stats().reports_sent, 1u);  // epoch 1, sent at 2.5 s
+  rig.sim.run_until(Time::from_seconds(3.5));
+  EXPECT_EQ(rig.agents[3]->stats().reports_sent, 2u);  // epoch 2, on schedule
+}
+
 TEST(QueryAgent, ChildRemovedUnblocksPendingEpoch) {
   AgentRig rig;
   rig.radios[3]->fail();
