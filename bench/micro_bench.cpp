@@ -205,7 +205,7 @@ void BM_NeighborRebuildGrid(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_NeighborRebuildGrid)->Arg(80)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_NeighborRebuildGrid)->Arg(80)->Arg(1000)->Arg(4000)->Arg(100000);
 
 void BM_NeighborAdvance(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -265,27 +265,34 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   // Receive demultiplexing: core packet types go to their substrate
   // handlers; everything else is the policy's private control traffic.
+  // Each handler captures one pointer to the shared targets plus its id, so
+  // it fits std::function's local buffer instead of allocating per node.
+  struct RxDemux {
+    std::vector<NodeStack>& nodes;
+    const std::unique_ptr<routing::TreeSetupProtocol>& setup_protocol;
+    PowerManager& policy;
+  };
+  const RxDemux demux{nodes, setup_protocol, *policy};
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<net::NodeId>(i);
-    nodes[i].mac->set_rx_handler(
-        [&nodes, &setup_protocol, policy = policy.get(), id](const net::Packet& p) {
-          const util::ScopedNodeContext log_node{id};
-          auto& node = nodes[static_cast<std::size_t>(id)];
-          switch (p.type) {
-            case net::PacketType::kData:
-            case net::PacketType::kPhaseRequest:
-              if (node.agent) node.agent->handle_packet(p);
-              break;
-            case net::PacketType::kSetup:
-            case net::PacketType::kJoin:
-            case net::PacketType::kRankReport:
-              if (setup_protocol) setup_protocol->handle_packet(id, p);
-              break;
-            default:
-              policy->handle_packet(id, p);
-              break;
-          }
-        });
+    nodes[i].mac->set_rx_handler([ctx = &demux, id](const net::Packet& p) {
+      const util::ScopedNodeContext log_node{id};
+      auto& node = ctx->nodes[static_cast<std::size_t>(id)];
+      switch (p.type) {
+        case net::PacketType::kData:
+        case net::PacketType::kPhaseRequest:
+          if (node.agent) node.agent->handle_packet(p);
+          break;
+        case net::PacketType::kSetup:
+        case net::PacketType::kJoin:
+        case net::PacketType::kRankReport:
+          if (ctx->setup_protocol) ctx->setup_protocol->handle_packet(id, p);
+          break;
+        default:
+          ctx->policy.handle_packet(id, p);
+          break;
+      }
+    });
   }
 
   // --- Maintenance / repair ----------------------------------------------

@@ -24,6 +24,15 @@ constexpr double kSkinFraction = 0.05;
 // candidates or widens cells; membership is always the exact range test.
 constexpr double kRoundingSlack = 1e-6;
 
+// Resizes `v` to `n`. A fresh buffer gets exactly n; a reused one at least
+// doubles its capacity when it must grow, so a slowly rising high-water
+// mark across Verlet refreshes reallocates only O(log) times.
+template <typename T>
+void grow_to(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+  v.resize(n);
+}
+
 }  // namespace
 
 Topology::Topology(std::vector<Position> positions, double range_m)
@@ -33,7 +42,8 @@ Topology::Topology(std::vector<Position> positions, double range_m)
       table_{std::make_shared<NeighborTable>()} {
   if (range_m_ <= 0.0) throw std::invalid_argument{"Topology: range must be positive"};
   GridBuffers grid;  // a frozen topology never needs the index again
-  build_pairs_(positions_, range_m_, grid, *table_);
+  std::vector<NodeId> lists;
+  build_pairs_(positions_, range_m_, grid, lists, *table_);
   rebuilds_ = 1;
 }
 
@@ -170,8 +180,10 @@ bool Topology::drifted_past_skin_() const {
 void Topology::refresh_candidates_() {
   ++refreshes_;
   anchors_ = positions_;
+  // next_ holds nothing live until filter_candidates_ refills it, so its
+  // ids buffer serves as the build's scratch.
   build_pairs_(anchors_, range_m_ * (1.0 + kSkinFraction + kRoundingSlack), grid_,
-               candidates_);
+               next_.ids, candidates_);
 }
 
 void Topology::filter_candidates_() {
@@ -206,7 +218,8 @@ void Topology::publish_() {
 }
 
 void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
-                            GridBuffers& grid, NeighborTable& out) {
+                            GridBuffers& grid, std::vector<NodeId>& lists,
+                            NeighborTable& out) {
   const std::size_t n = pos.size();
   out.offsets.assign(n + 1, 0);
   out.ids.clear();
@@ -215,8 +228,7 @@ void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
   // Uniform-grid spatial index: bucket nodes into radius-sized cells and
   // test only the 3x3 block around each node's cell — expected O(n) at
   // bounded density, against an O(n^2) all-pairs scan. The exact distance
-  // test plus the per-node sort keep every list identical to the all-pairs
-  // build (ascending node ids).
+  // test keeps every list identical to the all-pairs build.
   double min_x = pos[0].x, max_x = min_x;
   double min_y = pos[0].y, max_y = min_y;
   for (const Position& p : pos) {
@@ -251,40 +263,119 @@ void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
     return cy * cols + cx;
   };
 
-  // Counting sort of the nodes by cell; filling back to front leaves each
-  // cell's ids ascending and cell_start[c] at the cell's first entry.
+  // Gather: counting sort of the nodes by cell into slots. Filling back to
+  // front leaves each cell's ids ascending and cell_start[c] at the cell's
+  // first slot; each slot carries its node's position, so the positions of
+  // a row of the 3x3 block are one contiguous run.
   const std::size_t cells = cols * rows;
   grid.cell_start.assign(cells + 1, 0);
   grid.node_cell.resize(n);
   grid.cell_nodes.resize(n);
+  grid.cell_pos.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     grid.node_cell[i] = cell_of(pos[i]);
     ++grid.cell_start[grid.node_cell[i]];
   }
   for (std::size_t c = 1; c <= cells; ++c) grid.cell_start[c] += grid.cell_start[c - 1];
   for (std::size_t i = n; i-- > 0;) {
-    grid.cell_nodes[--grid.cell_start[grid.node_cell[i]]] = static_cast<NodeId>(i);
+    const std::size_t s = --grid.cell_start[grid.node_cell[i]];
+    grid.cell_nodes[s] = static_cast<NodeId>(i);
+    grid.cell_pos[s] = pos[i];
   }
 
+  const std::size_t* const start = grid.cell_start.data();
+  const Position* const cpos = grid.cell_pos.data();
+  const NodeId* const cnodes = grid.cell_nodes.data();
   const double cutoff_sq = sq_cutoff(radius);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = grid.node_cell[i] % cols;
-    const std::size_t cy = grid.node_cell[i] / cols;
-    const std::size_t first = out.ids.size();
-    for (std::size_t by = cy > 0 ? cy - 1 : 0; by <= std::min(cy + 1, rows - 1); ++by) {
-      for (std::size_t bx = cx > 0 ? cx - 1 : 0; bx <= std::min(cx + 1, cols - 1); ++bx) {
-        const std::size_t c = by * cols + bx;
-        for (std::size_t k = grid.cell_start[c]; k < grid.cell_start[c + 1]; ++k) {
-          const NodeId j = grid.cell_nodes[k];
-          if (static_cast<std::size_t>(j) == i) continue;
-          if (distance_sq(pos[i], pos[static_cast<std::size_t>(j)]) <= cutoff_sq) {
-            out.ids.push_back(j);
-          }
-        }
+  // Visits every non-empty cell in slot order with the slot runs of its
+  // 3x3 block: visit(first, last, x0, x1, cy), where the block's row `by`
+  // spans slots [start[by * cols + x0], start[by * cols + x1 + 1]).
+  const auto for_each_cell = [&](auto&& visit) {
+    for (std::size_t cy = 0; cy < rows; ++cy) {
+      for (std::size_t cx = 0; cx < cols; ++cx) {
+        const std::size_t c = cy * cols + cx;
+        if (start[c] == start[c + 1]) continue;
+        visit(start[c], start[c + 1], cx > 0 ? cx - 1 : 0,
+              std::min(cx + 1, cols - 1), cy);
       }
     }
-    std::sort(out.ids.begin() + static_cast<std::ptrdiff_t>(first), out.ids.end());
-    out.offsets[i + 1] = out.ids.size();
+  };
+
+  // Degrees, each pair tested once: a slot tests the half block after it
+  // (the rest of its row's run and the run of the row above) and counts a
+  // pair within radius for both ends.
+  grid.slot_degree.assign(n, 0);
+  std::size_t* const degree = grid.slot_degree.data();
+  for_each_cell([&](std::size_t first, std::size_t last, std::size_t x0,
+                    std::size_t x1, std::size_t cy) {
+    const std::size_t row_end = start[cy * cols + x1 + 1];
+    const std::size_t up_lo = cy + 1 < rows ? start[(cy + 1) * cols + x0] : 0;
+    const std::size_t up_hi = cy + 1 < rows ? start[(cy + 1) * cols + x1 + 1] : 0;
+    for (std::size_t s = first; s < last; ++s) {
+      const Position p = cpos[s];
+      std::size_t d = 0;
+      const auto count = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t) {
+          const std::size_t in = distance_sq(p, cpos[t]) <= cutoff_sq ? 1 : 0;
+          d += in;
+          degree[t] += in;
+        }
+      };
+      count(s + 1, row_end);
+      count(up_lo, up_hi);
+      degree[s] += d;
+    }
+  });
+  // offsets[x] = the end of node x's list (inclusive prefix sum of degrees).
+  std::size_t* const offsets = out.offsets.data();
+  for (std::size_t s = 0; s < n; ++s) {
+    offsets[static_cast<std::size_t>(cnodes[s])] = degree[s];
+  }
+  for (std::size_t x = 1; x < n; ++x) offsets[x] += offsets[x - 1];
+  const std::size_t total = offsets[n - 1];
+  offsets[n] = total;
+
+  // Scan: each slot tests its whole block, cache-hot in slot order, and
+  // appends branch-free into its node's region of `lists` — every candidate
+  // is written, the cursor only advances past the ones within radius. Node
+  // x's region is [offsets[x] - degree + x, offsets[x] + x]: its unsorted
+  // list plus one word that takes the writes past its last neighbor and
+  // then holds the list's length.
+  grow_to(lists, total + n);
+  NodeId* const region = lists.data();
+  for_each_cell([&](std::size_t first, std::size_t last, std::size_t x0,
+                    std::size_t x1, std::size_t cy) {
+    const std::size_t by_lo = cy > 0 ? cy - 1 : 0;
+    const std::size_t by_hi = std::min(cy + 1, rows - 1);
+    for (std::size_t s = first; s < last; ++s) {
+      const Position p = cpos[s];
+      const auto x = static_cast<std::size_t>(cnodes[s]);
+      std::size_t w = offsets[x] - degree[s] + x;
+      for (std::size_t by = by_lo; by <= by_hi; ++by) {
+        for (std::size_t t = start[by * cols + x0]; t < start[by * cols + x1 + 1]; ++t) {
+          region[w] = cnodes[t];
+          w += ((distance_sq(p, cpos[t]) <= cutoff_sq) & (t != s)) ? 1 : 0;
+        }
+      }
+      region[w] = static_cast<NodeId>(degree[s]);
+    }
+  });
+
+  // Transpose: walking the nodes in descending id order and prepending each
+  // to its neighbors' lists leaves every list ascending, with no sort, and
+  // each offsets[y] back at the start of y's list. It is exact because
+  // distance_sq is bit-symmetric ((a - b)^2 == (b - a)^2 in IEEE
+  // arithmetic), so y lists x exactly when x lists y.
+  grow_to(out.ids, total);
+  NodeId* const ids = out.ids.data();
+  std::size_t r = total + n;  // one past the end of node x's region
+  for (std::size_t x = n; x-- > 0;) {
+    const std::size_t len = static_cast<std::size_t>(region[r - 1]);
+    const std::size_t first = r - 1 - len;
+    for (std::size_t k = first; k < r - 1; ++k) {
+      ids[--offsets[static_cast<std::size_t>(region[k])]] = static_cast<NodeId>(x);
+    }
+    r = first;
   }
 }
 

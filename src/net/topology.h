@@ -172,17 +172,23 @@ class Topology {
   void save_state(snap::Serializer& out) const;
 
  private:
-  // Reusable buffers of the grid spatial index.
+  // Reusable buffers of the grid spatial index and the neighbor build, so a
+  // Verlet refresh allocates nothing once they reached their high-water mark.
   struct GridBuffers {
-    std::vector<std::size_t> cell_start;  // CSR over cells
-    std::vector<NodeId> cell_nodes;       // node ids, ascending per cell
-    std::vector<std::size_t> node_cell;
+    std::vector<std::size_t> cell_start;   // CSR over cells, in slots
+    std::vector<NodeId> cell_nodes;        // node id per slot, ascending per cell
+    std::vector<Position> cell_pos;        // position per slot
+    std::vector<std::size_t> node_cell;    // cell per node id
+    std::vector<std::size_t> slot_degree;  // neighbors per slot
   };
 
   // Writes into `out` every node's ascending list of the other nodes within
   // `radius` (distance() <= radius, exactly), found through the grid index.
+  // `lists` is scratch (its contents are overwritten). Each output vector is
+  // resized once, to its exact length; a fresh one allocates just that.
   static void build_pairs_(const std::vector<Position>& pos, double radius,
-                           GridBuffers& grid, NeighborTable& out);
+                           GridBuffers& grid, std::vector<NodeId>& lists,
+                           NeighborTable& out);
   bool drifted_past_skin_() const;
   void refresh_candidates_();
   void filter_candidates_();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/net/channel.h"
@@ -105,6 +106,60 @@ TEST(TopologyGrid, ListsAscendingWithoutSelf) {
         if (k > 0) EXPECT_LT(list[k - 1], list[k]) << topology_kind_name(kind);
       }
     }
+  }
+}
+
+TEST(TopologyGrid, CityScaleMatchesSampledAllPairs) {
+  // n = 100k at the paper's density (80 nodes per 500 m square, 125 m
+  // range), uniform and clustered, plus two paper-density squares 100 km
+  // apart: their extent needs more than max_cells cells at the range, so
+  // the grid doubles its cell size. A sample of 1000+ lists must equal an
+  // O(n) scan; the whole table must be symmetric, ascending and self-free.
+  constexpr std::size_t kNodes = 100000;
+  constexpr double kRange = 125.0;
+  const double area = 500.0 * std::sqrt(static_cast<double>(kNodes) / 80.0);
+  util::Rng rng{41};
+  std::vector<std::pair<const char*, Topology>> cases;
+  cases.emplace_back("uniform", Topology::uniform_random(kNodes, area, kRange, rng));
+  cases.emplace_back("clustered", Topology::clustered(kNodes, area, kRange, 8,
+                                                      area / 12.0, rng));
+  {
+    const double side = area / std::sqrt(2.0);
+    std::vector<Position> pos;
+    pos.reserve(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const double off = i % 2 == 0 ? 0.0 : 1e5;
+      pos.push_back(Position{off + rng.uniform(0.0, side), off + rng.uniform(0.0, side)});
+    }
+    cases.emplace_back("two squares 100 km apart", Topology{std::move(pos), kRange});
+  }
+  for (const auto& [name, topo] : cases) {
+    const std::vector<Position>& pos = topo.positions();
+    std::size_t entries = 0;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const auto x = static_cast<NodeId>(i);
+      const NeighborSpan list = topo.neighbors(x);
+      entries += list.size();
+      for (std::size_t k = 0; k < list.size(); ++k) {
+        ASSERT_NE(list[k], x) << name << " node " << i;
+        if (k > 0) ASSERT_LT(list[k - 1], list[k]) << name << " node " << i;
+        const NeighborSpan back = topo.neighbors(list[k]);
+        ASSERT_TRUE(std::binary_search(back.begin(), back.end(), x))
+            << name << ": " << list[k] << " lacks " << i;
+      }
+    }
+    EXPECT_GT(entries, 10 * kNodes) << name;
+    std::size_t sampled = 0;
+    for (std::size_t i = 0; i < kNodes; i += 97, ++sampled) {
+      std::vector<NodeId> reference;
+      for (std::size_t j = 0; j < kNodes; ++j) {
+        if (j != i && distance(pos[i], pos[j]) <= kRange) {
+          reference.push_back(static_cast<NodeId>(j));
+        }
+      }
+      ASSERT_EQ(topo.neighbors(static_cast<NodeId>(i)), reference) << name << " node " << i;
+    }
+    EXPECT_GE(sampled, 1000u);
   }
 }
 

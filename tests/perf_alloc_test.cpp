@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <random>
+#include <vector>
 
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
@@ -318,6 +320,28 @@ TEST(SteadyStateAlloc, MobilityEpochAdvanceIsAllocationFree) {
   }
   EXPECT_GE(topo.candidate_refreshes() - refreshes, 3u);
   EXPECT_GE(topo.table_publishes() - publishes, 100u);
+}
+
+// A static topology's neighbor build sizes each buffer once, to its exact
+// length: the same few allocations at any n, none from growing a list.
+TEST(SteadyStateAlloc, StaticTopologyBuildAllocationsDoNotGrowWithN) {
+  const auto build_allocations = [](std::size_t n) {
+    util::Rng rng{9};
+    const double area = 500.0 * std::sqrt(static_cast<double>(n) / 80.0);
+    std::vector<net::Position> pos;
+    pos.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pos.push_back(net::Position{rng.uniform(0.0, area), rng.uniform(0.0, area)});
+    }
+    CountScope scope;
+    const net::Topology topo{std::move(pos), 125.0};
+    const std::uint64_t allocations = scope.count();
+    EXPECT_GT(topo.neighbors_handle()->ids.size(), 10 * n);  // a real table
+    return allocations;
+  };
+  const std::uint64_t small = build_allocations(1000);
+  EXPECT_EQ(build_allocations(10000), small);
+  EXPECT_LE(small, 12u);
 }
 
 // Per-link streams: the shadowing gain and the Gilbert-Elliott initial
