@@ -95,6 +95,21 @@ inline void print_pivot(
   table.print(os);
 }
 
+// The optional pull-request number a bench records as "pr" in its JSON
+// report: argv[index] when present (a positive integer, or the bench exits
+// with status 2), "null" when omitted.
+inline std::string pr_json(int argc, char** argv, int index, const char* bench) {
+  if (argc <= index) return "null";
+  char* end = nullptr;
+  const long n = std::strtol(argv[index], &end, 10);
+  if (end == argv[index] || *end != '\0' || n <= 0) {
+    std::fprintf(stderr, "%s: PR must be a positive integer, got '%s'\n", bench,
+                 argv[index]);
+    std::exit(2);
+  }
+  return std::to_string(n);
+}
+
 inline void print_header(const char* figure, const char* description) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", figure, description);

@@ -23,15 +23,18 @@
 // non-zero on violation, so CI smoke (capped to n=10k via
 // ESSAT_BENCH_MAX_N) gates the same contract the full run does.
 //
+// Usage: bench_fig12_city_scale [OUT.json [PR]]. OUT is the output path
+// (default $ESSAT_BENCH_JSON, else fig12_city_scale.json); PR is the
+// pull-request number recorded as "pr" (null when omitted).
 // Knobs: ESSAT_BENCH_MAX_N (largest size to run, default 1M),
-// ESSAT_BENCH_MEASURE_S (measurement window, default 5),
-// ESSAT_BENCH_JSON or argv[1] (output path, default fig12_city_scale.json).
+// ESSAT_BENCH_MEASURE_S (measurement window, default 5).
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench/alloc_hook.h"
@@ -117,6 +120,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : nullptr;
   if (out_path == nullptr) out_path = std::getenv("ESSAT_BENCH_JSON");
   if (out_path == nullptr) out_path = "fig12_city_scale.json";
+  const std::string pr = bench::pr_json(argc, argv, 2, "fig12_city_scale");
 
   std::printf(
       "fig12_city_scale: DTS-SS, constant paper density, %gs window, "
@@ -148,11 +152,11 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"fig12_city_scale\",\n"
-               "  \"pr\": 7,\n"
+               "  \"pr\": %s,\n"
                "  \"measure_s\": %g,\n"
                "  \"budget_bytes_per_node\": %.0f,\n"
                "  \"sizes\": [\n",
-               measure.to_seconds(), kBudgetBytesPerNode);
+               pr.c_str(), measure.to_seconds(), kBudgetBytesPerNode);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     std::fprintf(f,

@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot paths: event queue operations (push/pop,
 // cancel churn, a realistic capture size, the timer re-arm fast path),
 // broadcast packet delivery through the event core, channel broadcast
-// scheduling (batched vs legacy per-neighbor events), listener dispatch,
+// scheduling (one arrival/departure event pair per frame), listener dispatch,
 // topology neighbor lists (full grid-index build and the per-epoch
 // incremental advance), Safe Sleep bookkeeping, shaper updates, and a full
 // small-scenario run.
@@ -148,20 +148,17 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm)->Arg(0)->Arg(1)->ArgNames({"fast"});
 
-// Channel broadcast scheduling: a dense clique (every node hears every
-// transmission) is the worst case for the legacy two-events-per-neighbor
-// path. range(0) selects batched (1) vs legacy (0) scheduling.
+// Channel broadcast scheduling on a dense clique (every node hears every
+// transmission): one arrival and one departure event per frame, each
+// visiting all range(0) - 1 neighbors.
 void BM_ChannelBroadcast(benchmark::State& state) {
-  const bool batched = state.range(0) == 1;
-  const int num_nodes = static_cast<int>(state.range(1));
+  const int num_nodes = static_cast<int>(state.range(0));
   util::Rng rng{3};
   const net::Topology topo = net::Topology::uniform_random(
       static_cast<std::size_t>(num_nodes), 80.0, 125.0, rng);  // clique
   for (auto _ : state) {
     sim::Simulator sim;
-    net::ChannelParams params;
-    params.batch_arrivals = batched;
-    net::Channel ch{sim, topo, params};
+    net::Channel ch{sim, topo};
     for (int i = 0; i < 64; ++i) {
       const auto src = static_cast<net::NodeId>(i % num_nodes);
       sim.schedule_at(Time::microseconds(i * 500), [&ch, src] {
@@ -175,9 +172,7 @@ void BM_ChannelBroadcast(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_ChannelBroadcast)
-    ->ArgsProduct({{0, 1}, {16, 64}})
-    ->ArgNames({"batched", "nodes"});
+BENCHMARK(BM_ChannelBroadcast)->Arg(16)->Arg(64)->ArgName("nodes");
 
 // Neighbor lists at constant density (~12 neighbors/node) as n grows, the
 // regime where the grid index is expected O(n): a full build (what a static

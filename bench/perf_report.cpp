@@ -114,17 +114,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : nullptr;
   if (out_path == nullptr) out_path = std::getenv("ESSAT_BENCH_JSON");
   if (out_path == nullptr) out_path = "perf_report.json";
-  std::string pr = "null";
-  if (argc > 2) {
-    char* end = nullptr;
-    const long n = std::strtol(argv[2], &end, 10);
-    if (end == argv[2] || *end != '\0' || n <= 0) {
-      std::fprintf(stderr, "perf_report: PR must be a positive integer, got '%s'\n",
-                   argv[2]);
-      return 2;
-    }
-    pr = std::to_string(n);
-  }
+  const std::string pr = bench::pr_json(argc, argv, 2, "perf_report");
 
   std::printf("perf_report: DTS-SS x uniform-160 x {1,2,4} Hz, %gs window, "
               "%d runs/rate, serial\n",

@@ -126,15 +126,13 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   // Link-quality feedback for parent selection: the estimator reads the
   // channel's loss statistics (and the loss model's own curve as a prior),
-  // the policy ranks candidate parents by it. A null policy (the "legacy"
-  // sentinel) leaves every selection site on its original hardwired path.
+  // the policy ranks candidate parents by it.
   const routing::LinkEstimator link_estimator{channel, topo,
                                               config.routing.etx};
   std::unique_ptr<routing::ParentPolicy> parent_policy = config.routing.build(
       routing::PolicyContext{&topo, &link_estimator, config.routing.etx});
   // Per-link frame statistics only cost something when a policy reads them.
-  channel.set_link_stats_enabled(parent_policy &&
-                                 parent_policy->uses_link_estimator());
+  channel.set_link_stats_enabled(parent_policy->uses_link_estimator());
 
   // Radio: transitions t_be/2 each way so that break-even == t_be.
   energy::RadioParams radio_params;

@@ -93,12 +93,6 @@ struct ChannelParams {
   // capture threshold under two-ray d^-4 is a 10^(1/4) ~= 1.78 distance
   // ratio). Set <= 0 to disable capture (all overlaps collide).
   double capture_distance_ratio = 1.78;
-  // Batch the per-neighbor frame begin/end callbacks into one arrival event
-  // and one departure event per transmission (all neighbors share the same
-  // timestamps, so the visit order is unchanged). False restores the legacy
-  // two-events-per-neighbor scheduling; kept for the A/B micro-benchmark
-  // and the equivalence test.
-  bool batch_arrivals = true;
   // Per-link statistics storage: topologies with fewer nodes than this use
   // the legacy dense per-sender rows (pointer-stable, scan-friendly);
   // larger ones use the open-addressed (src,dst)-keyed FlatMap whose memory

@@ -251,9 +251,8 @@ std::vector<PrrTraceEntry> parse_prr_trace(const std::string& text);
 enum class LinkModelKind {
   // Install no model at all: the channel runs the exact pre-LinkModel code
   // path. Behaviorally identical to kUnitDisc; kept for the equivalence
-  // test (mirrors ChannelParams::batch_arrivals' legacy path). With
-  // prr_scale < 1 a thinned unit disc is installed after all, so the
-  // label's "@scale" suffix always tells the truth.
+  // test. With prr_scale < 1 a thinned unit disc is installed after all,
+  // so the label's "@scale" suffix always tells the truth.
   kNone,
   kUnitDisc,
   kLogNormalShadowing,

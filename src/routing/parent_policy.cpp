@@ -7,6 +7,13 @@
 
 namespace essat::routing {
 
+// --------------------------------------------------------------- min-hop
+
+ParentPolicy& min_hop_policy() {
+  static MinHopPolicy policy;
+  return policy;
+}
+
 // ------------------------------------------------------------------- etx
 
 EtxPolicy::EtxPolicy(const LinkEstimator& estimator, EtxParams params)
@@ -105,7 +112,6 @@ ParentPolicyRegistrar::ParentPolicyRegistrar(std::string name,
 // ------------------------------------------------------------------ spec
 
 std::unique_ptr<ParentPolicy> RoutingSpec::build(const PolicyContext& ctx) const {
-  if (policy == "legacy") return nullptr;
   PolicyContext full = ctx;
   full.etx = etx;
   return ParentPolicyRegistry::instance().create(policy, full);

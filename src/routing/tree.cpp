@@ -166,8 +166,6 @@ Tree build_bfs_tree(const net::Topology& topo, net::NodeId root,
 
 Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
                        double max_dist_from_root, ParentPolicy* policy) {
-  if (policy == nullptr) return build_bfs_tree(topo, root, max_dist_from_root);
-
   const std::size_t n = topo.num_nodes();
   const net::Position root_pos = topo.position(root);
   std::vector<double> cost(n, std::numeric_limits<double>::infinity());

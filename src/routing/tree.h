@@ -90,8 +90,7 @@ class ParentPolicy;
 // the policy's link costs, with FIFO-stable tie-breaking and ascending-id
 // neighbor expansion so that unit costs (MinHopPolicy) reproduce
 // build_bfs_tree exactly — structure, child order and all
-// (equivalence-tested). A null policy falls back to build_bfs_tree, the
-// legacy code path.
+// (equivalence-tested). `policy` must not be null.
 Tree build_policy_tree(const net::Topology& topo, net::NodeId root,
                        double max_dist_from_root, ParentPolicy* policy);
 

@@ -106,7 +106,6 @@ net::ChannelModelSpec load_channel_model(Deserializer& in) {
 void save_channel_params(Serializer& out, const net::ChannelParams& p) {
   out.time(p.propagation_delay);
   out.f64(p.capture_distance_ratio);
-  out.boolean(p.batch_arrivals);
   out.u64(p.dense_link_stats_below);
   out.boolean(p.sinr.enabled);
   out.f64(p.sinr.tx_power_dbm);
@@ -121,7 +120,6 @@ net::ChannelParams load_channel_params(Deserializer& in) {
   net::ChannelParams p;
   p.propagation_delay = in.time();
   p.capture_distance_ratio = in.f64();
-  p.batch_arrivals = in.boolean();
   p.dense_link_stats_below = static_cast<std::size_t>(in.u64());
   p.sinr.enabled = in.boolean();
   p.sinr.tx_power_dbm = in.f64();

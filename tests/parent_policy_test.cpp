@@ -58,8 +58,9 @@ TEST(RoutingSpec, BuildsPolicyOrLegacySentinel) {
   ASSERT_NE(min_hop, nullptr);
   EXPECT_STREQ(min_hop->name(), "min-hop");
 
+  // The former null-policy sentinel is now an unknown key like any other.
   spec.policy = "legacy";
-  EXPECT_EQ(spec.build(PolicyContext{}), nullptr);
+  EXPECT_THROW(spec.build(PolicyContext{}), std::invalid_argument);
 }
 
 // -------------------------------------------- central build equivalence
@@ -82,14 +83,6 @@ TEST(PolicyTree, MinHopIdenticalToBfsOnRandomTopologies) {
       EXPECT_EQ(policy.children(n), bfs.children(n)) << "node " << n;
     }
   }
-}
-
-TEST(PolicyTree, NullPolicyDelegatesToBfs) {
-  const net::Topology topo = net::Topology::line(5, 100.0, 125.0);
-  const Tree a = build_policy_tree(topo, 0, 10000.0, nullptr);
-  const Tree b = build_bfs_tree(topo, 0, 10000.0);
-  EXPECT_EQ(a.member_count(), b.member_count());
-  for (net::NodeId n : b.members()) EXPECT_EQ(a.parent(n), b.parent(n));
 }
 
 // ------------------------------------------------------- link estimator
@@ -272,11 +265,10 @@ TEST(EtxPolicy, RepairWithoutPolicyKeepsLegacyLowestLevel) {
   tree.add_node(2, 0);
   tree.recompute_ranks();
 
-  RepairService repair{w.topo, tree};  // no policy installed
+  RepairService repair{w.topo, tree};  // no policy installed: min-hop
   ASSERT_TRUE(repair.reparent(2, nullptr));
-  // Legacy rule: lowest level wins; the only candidate excluding the old
-  // parent is node 1 either way — but level/limits go through the legacy
-  // comparison path.
+  // Lowest level wins; the only candidate excluding the old parent is
+  // node 1, whatever its link quality.
   EXPECT_EQ(tree.parent(2), 1);
 }
 

@@ -179,9 +179,11 @@ TEST(Snapshot, RejectsBadMagicVersionKindCrcAndTruncation) {
     bad[0] ^= 0xFF;
     EXPECT_THROW(Snapshot::from_bytes(bad), SnapError);
   }
-  {
+  // Version field: an unknown one, and the previous format (2, whose
+  // ChannelParams still carried the batch_arrivals flag).
+  for (const std::uint8_t version : {std::uint8_t{99}, std::uint8_t{2}}) {
     auto bad = bytes;
-    bad[8] = 99;  // version field
+    bad[8] = version;
     EXPECT_THROW(Snapshot::from_bytes(bad), SnapError);
   }
   {

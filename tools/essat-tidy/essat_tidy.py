@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """essat-tidy: project-specific determinism & hot-path lint checks.
 
-This is the portable implementation of the essat-tidy check suite — the
-same four checks the clang-tidy plugin in this directory implements on the
-AST are implemented here on a tokenized line stream, so the lint gate runs
-on any machine with a Python interpreter (the plugin additionally needs
-clang-tidy development headers; see CMakeLists.txt in this directory).
-CI runs both when it can, and this one always.
+The one implementation of the essat-tidy check suite: four checks run on a
+tokenized line stream, so the lint gate runs on any machine with a Python
+interpreter. The `lint` CMake target, the CTest lint entries and CI all run
+this script.
 
 Checks
 ------
