@@ -20,7 +20,7 @@
 // size. The per-node stack measures ~2.5 KB; dense per-node structures
 // (O(n) dup tables, O(n^2)-total link-stat rows) or a 2.5 KB
 // std::mt19937_64 inline in every MAC would blow it. The bench exits
-// non-zero on violation, so CI smoke (capped to n=10k via
+// non-zero on violation, so CI smoke (capped to n=100k via
 // ESSAT_BENCH_MAX_N) gates the same contract the full run does.
 //
 // Usage: bench_fig12_city_scale [OUT.json [PR]]. OUT is the output path

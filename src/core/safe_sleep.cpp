@@ -16,11 +16,13 @@ SafeSleep::SafeSleep(sim::Simulator& sim, energy::Radio& radio, mac::CsmaMac& ma
       setup_end_{sim.now()},
       wake_timer_{sim} {
   mac_.set_idle_callback([this] { check_state(); });
-  // Re-evaluate on wake: if the expectation that scheduled this wake-up was
-  // superseded by a later one, go straight back to sleep.
-  radio_.add_state_observer([this](energy::RadioState s) {
-    if (s == energy::RadioState::kOn) check_state();
-  });
+  radio_.add_state_observer(this);
+}
+
+// Re-evaluate on wake: if the expectation that scheduled this wake-up was
+// superseded by a later one, go straight back to sleep.
+void SafeSleep::on_radio_state(energy::RadioState s) {
+  if (s == energy::RadioState::kOn) check_state();
 }
 
 void SafeSleep::set_setup_end(util::Time t) {

@@ -43,7 +43,8 @@ struct SafeSleepParams {
   bool enabled = true;
 };
 
-class SafeSleep final : public query::ExpectedTimeSink {
+class SafeSleep final : public query::ExpectedTimeSink,
+                        public energy::RadioObserver {
  public:
   SafeSleep(sim::Simulator& sim, energy::Radio& radio, mac::CsmaMac& mac,
             SafeSleepParams params);
@@ -94,6 +95,9 @@ class SafeSleep final : public query::ExpectedTimeSink {
   void save_state(snap::Serializer& out) const;
 
  private:
+  // energy::RadioObserver: re-checks the sleep decision on wake.
+  void on_radio_state(energy::RadioState s) override;
+
   sim::Simulator& sim_;
   energy::Radio& radio_;
   mac::CsmaMac& mac_;

@@ -11,8 +11,8 @@ Radio::Radio(sim::Simulator& sim, RadioParams params)
       window_start_{sim.now()},
       segment_start_{sim.now()} {}
 
-void Radio::add_state_observer(std::function<void(RadioState)> observer) {
-  observers_.push_back(std::move(observer));
+void Radio::add_state_observer(RadioObserver* observer) {
+  observers_.push_back(observer);
 }
 
 double Radio::current_power_mw_() const {
@@ -67,7 +67,7 @@ void Radio::enter_(RadioState next) {
     in_off_interval_ = false;
   }
 
-  for (const auto& obs : observers_) obs(next);
+  for (RadioObserver* obs : observers_) obs->on_radio_state(next);
 }
 
 void Radio::turn_on() {

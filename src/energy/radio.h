@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/timer.h"
+#include "src/util/small_vector.h"
 #include "src/util/time.h"
 
 namespace essat::snap {
@@ -25,6 +25,15 @@ class Serializer;
 namespace essat::energy {
 
 enum class RadioState : std::uint8_t { kOff, kTurningOn, kOn, kTurningOff };
+
+// Notified on every completed radio state change, with the new state.
+class RadioObserver {
+ public:
+  virtual void on_radio_state(RadioState s) = 0;
+
+ protected:
+  ~RadioObserver() = default;
+};
 
 struct RadioParams {
   util::Time t_off_on = util::Time::from_milliseconds(1.25);
@@ -76,9 +85,10 @@ class Radio {
   // turn_on() it as part of rebuilding the node's stack.
   void restore();
 
-  // Observer invoked on every completed state change (new state passed).
-  // Multiple observers are supported (Safe Sleep, MAC, protocols).
-  void add_state_observer(std::function<void(RadioState)> observer);
+  // Adds an observer of every completed state change; observers are called
+  // in registration order (the MAC, then Safe Sleep). Not owned: each must
+  // outlive the radio's last transition.
+  void add_state_observer(RadioObserver* observer);
 
   // Node id stamped on kRadioState trace records. The radio itself is
   // node-agnostic; the harness labels it at assembly time (-1 = unlabelled).
@@ -128,7 +138,7 @@ class Radio {
   bool tx_active_ = false;
   bool rx_active_ = false;
   sim::Timer transition_timer_;
-  std::vector<std::function<void(RadioState)>> observers_;
+  util::SmallVector<RadioObserver*, 2> observers_;
 
   // Accounting state.
   util::Time window_start_;

@@ -28,16 +28,18 @@ CsmaMac::CsmaMac(sim::Simulator& sim, net::Channel& channel, energy::Radio& radi
   }
   channel_.attach(self_, this);
   update_listening_();
-  radio_.add_state_observer([this](energy::RadioState s) {
-    update_listening_();
-    if (s == energy::RadioState::kOn) {
-      if (in_flight_ && !in_backoff_ && !transmitting_ && !waiting_ack_) {
-        begin_contention_();
-      } else {
-        try_start_();
-      }
+  radio_.add_state_observer(this);
+}
+
+void CsmaMac::on_radio_state(energy::RadioState s) {
+  update_listening_();
+  if (s == energy::RadioState::kOn) {
+    if (in_flight_ && !in_backoff_ && !transmitting_ && !waiting_ack_) {
+      begin_contention_();
+    } else {
+      try_start_();
     }
-  });
+  }
 }
 
 void CsmaMac::update_listening_() {

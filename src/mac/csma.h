@@ -64,7 +64,7 @@ struct MacStats {
   std::uint64_t acks_sent = 0;
 };
 
-class CsmaMac : public net::ChannelListener {
+class CsmaMac : public net::ChannelListener, public energy::RadioObserver {
  public:
   // The three upper-layer hooks stay type-erased std::functions by design:
   // they are installed once per node at stack-assembly time (or moved, not
@@ -144,6 +144,8 @@ class CsmaMac : public net::ChannelListener {
   // net::ChannelListener (the channel calls back through one pointer).
   void on_rx_complete(const net::Packet& p, bool ok) override;
   void on_channel_activity() override;
+  // energy::RadioObserver: tracks listening and resumes contention on wake.
+  void on_radio_state(energy::RadioState s) override;
 
   // Pushes radio-ON-and-not-transmitting into the channel's cached
   // listening flag; call after every transmitting_ toggle and radio state

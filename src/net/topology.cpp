@@ -38,13 +38,15 @@ void grow_to(std::vector<T>& v, std::size_t n) {
 Topology::Topology(std::vector<Position> positions, double range_m)
     : positions_{std::move(positions)},
       range_m_{range_m},
-      range_sq_{sq_cutoff(range_m)},
-      table_{std::make_shared<NeighborTable>()} {
+      range_sq_{sq_cutoff(range_m)} {
   if (range_m_ <= 0.0) throw std::invalid_argument{"Topology: range must be positive"};
-  GridBuffers grid;  // a frozen topology never needs the index again
-  std::vector<NodeId> lists;
-  build_pairs_(positions_, range_m_, grid, lists, *table_);
+  rows_ = StaticRows{positions_, range_m_};
   rebuilds_ = 1;
+}
+
+std::shared_ptr<const NeighborTable> Topology::neighbors_handle() const {
+  if (!table_) table_ = rows_.table(positions_);
+  return table_;
 }
 
 Topology Topology::uniform_random(std::size_t num_nodes, double area_m,
@@ -142,6 +144,7 @@ void Topology::set_mobility_model(std::shared_ptr<MobilityModel> model,
   if (model && epoch <= util::Time::zero()) {
     throw std::invalid_argument{"Topology: mobility epoch must be positive"};
   }
+  if (model && !table_) table_ = rows_.table(positions_);
   mobility_ = std::move(model);
   epoch_ = epoch;
   epoch_index_ = 0;  // positions_ already hold the t = 0 snapshot
@@ -182,8 +185,8 @@ void Topology::refresh_candidates_() {
   anchors_ = positions_;
   // next_ holds nothing live until filter_candidates_ refills it, so its
   // ids buffer serves as the build's scratch.
-  build_pairs_(anchors_, range_m_ * (1.0 + kSkinFraction + kRoundingSlack), grid_,
-               next_.ids, candidates_);
+  build_pairs_(anchors_, range_m_ * (1.0 + kSkinFraction + kRoundingSlack),
+               pair_buffers_, next_.ids, candidates_);
 }
 
 void Topology::filter_candidates_() {
@@ -217,18 +220,12 @@ void Topology::publish_() {
   table_.swap(spare_);
 }
 
-void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
-                            GridBuffers& grid, std::vector<NodeId>& lists,
-                            NeighborTable& out) {
+void Topology::GridIndex::build(const std::vector<Position>& pos, double radius) {
   const std::size_t n = pos.size();
-  out.offsets.assign(n + 1, 0);
-  out.ids.clear();
-  if (n == 0) return;
-
-  // Uniform-grid spatial index: bucket nodes into radius-sized cells and
-  // test only the 3x3 block around each node's cell — expected O(n) at
-  // bounded density, against an O(n^2) all-pairs scan. The exact distance
-  // test keeps every list identical to the all-pairs build.
+  // Bucketing nodes into radius-sized cells and testing only the 3x3 block
+  // around each node's cell is expected O(n) at bounded density, against an
+  // O(n^2) all-pairs scan; the exact distance test keeps every list
+  // identical to the all-pairs one.
   double min_x = pos[0].x, max_x = min_x;
   double min_y = pos[0].y, max_y = min_y;
   for (const Position& p : pos) {
@@ -243,7 +240,6 @@ void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
   // cells only widen buckets, never miss a neighbor.
   const std::size_t max_cells = std::max<std::size_t>(64, 4 * n);
   double cell = radius * (1.0 + kRoundingSlack);
-  std::size_t cols = 0, rows = 0;
   const auto dim = [max_cells](double extent, double c) {
     const double f = extent / c;  // compare as double: the cast is UB out of range
     return f >= static_cast<double>(max_cells) ? max_cells + 1
@@ -260,31 +256,175 @@ void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
     auto cy = static_cast<std::size_t>((p.y - min_y) / cell);
     if (cx >= cols) cx = cols - 1;  // FP guard at the max edge
     if (cy >= rows) cy = rows - 1;
-    return cy * cols + cx;
+    return static_cast<std::uint32_t>(cy * cols + cx);
   };
 
-  // Gather: counting sort of the nodes by cell into slots. Filling back to
-  // front leaves each cell's ids ascending and cell_start[c] at the cell's
-  // first slot; each slot carries its node's position, so the positions of
-  // a row of the 3x3 block are one contiguous run.
+  // Counting sort of the nodes by cell into slots. Filling back to front
+  // leaves each cell's ids ascending and cell_start[c] at the cell's first
+  // slot.
   const std::size_t cells = cols * rows;
-  grid.cell_start.assign(cells + 1, 0);
-  grid.node_cell.resize(n);
-  grid.cell_nodes.resize(n);
-  grid.cell_pos.resize(n);
+  cell_start.assign(cells + 1, 0);
+  node_cell.resize(n);
+  cell_nodes.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    grid.node_cell[i] = cell_of(pos[i]);
-    ++grid.cell_start[grid.node_cell[i]];
+    node_cell[i] = cell_of(pos[i]);
+    ++cell_start[node_cell[i]];
   }
-  for (std::size_t c = 1; c <= cells; ++c) grid.cell_start[c] += grid.cell_start[c - 1];
+  for (std::size_t c = 1; c <= cells; ++c) cell_start[c] += cell_start[c - 1];
   for (std::size_t i = n; i-- > 0;) {
-    const std::size_t s = --grid.cell_start[grid.node_cell[i]];
-    grid.cell_nodes[s] = static_cast<NodeId>(i);
-    grid.cell_pos[s] = pos[i];
+    cell_nodes[--cell_start[node_cell[i]]] = static_cast<NodeId>(i);
   }
+}
 
-  const std::size_t* const start = grid.cell_start.data();
-  const Position* const cpos = grid.cell_pos.data();
+Topology::StaticRows::StaticRows(const std::vector<Position>& pos, double range_m)
+    : range_sq_{sq_cutoff(range_m)} {
+  if (!pos.empty()) grid_.build(pos, range_m);
+  row_.assign(pos.size(), nullptr);
+  sorted_at_.assign(grid_.cols * grid_.rows, kUnsorted);
+}
+
+Topology::StaticRows::StaticRows(const StaticRows& o)
+    : grid_{o.grid_},
+      range_sq_{o.range_sq_},
+      row_(o.row_.size(), nullptr),
+      sorted_at_(o.sorted_at_.size(), kUnsorted) {}
+
+Topology::StaticRows& Topology::StaticRows::operator=(const StaticRows& o) {
+  if (this != &o) *this = StaticRows{o};
+  return *this;
+}
+
+// Gathers the ids of cell c's 3x3 block and sorts them, once per cell:
+// every row of the cell then filters this run and comes out ascending. Each
+// cell's ids are already ascending, so the block is at most nine ascending
+// runs, merged at once by taking the least head (a branch-free scan) until
+// every run is spent. The result is stored behind a word holding its
+// length.
+void Topology::StaticRows::sort_block_(std::size_t c) {
+  constexpr NodeId kSpent = std::numeric_limits<NodeId>::max();
+  const std::size_t cx = c % grid_.cols, cy = c / grid_.cols;
+  const std::size_t x0 = cx > 0 ? cx - 1 : 0, x1 = std::min(cx + 1, grid_.cols - 1);
+  const std::size_t y0 = cy > 0 ? cy - 1 : 0, y1 = std::min(cy + 1, grid_.rows - 1);
+  const std::uint32_t* const start = grid_.cell_start.data();
+  const NodeId* const ids = grid_.cell_nodes.data();
+  // Nine runs always: an absent or spent run shows kSpent and is never
+  // taken, so the scan has a fixed length.
+  constexpr std::size_t kRuns = 9;
+  const NodeId* cur[kRuns];
+  const NodeId* end[kRuns];
+  NodeId head[kRuns];
+  std::size_t runs = 0, k = 0;
+  for (std::size_t by = y0; by <= y1; ++by) {
+    for (std::size_t bx = x0; bx <= x1; ++bx) {
+      const std::size_t b = by * grid_.cols + bx;
+      if (start[b] == start[b + 1]) continue;
+      cur[runs] = ids + start[b];
+      end[runs] = ids + start[b + 1];
+      head[runs] = *cur[runs];
+      k += start[b + 1] - start[b];
+      ++runs;
+    }
+  }
+  for (std::size_t r = runs; r < kRuns; ++r) {
+    cur[r] = end[r] = nullptr;
+    head[r] = kSpent;
+  }
+  sorted_at_[c] = static_cast<std::uint32_t>(sorted_.size());
+  sorted_.resize(sorted_.size() + 1 + k);
+  NodeId* out = sorted_.data() + sorted_at_[c];
+  *out++ = static_cast<NodeId>(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    std::size_t least = 0;
+    for (std::size_t r = 1; r < kRuns; ++r) least = head[r] < head[least] ? r : least;
+    out[i] = head[least];
+    head[least] = ++cur[least] != end[least] ? *cur[least] : kSpent;
+  }
+}
+
+// Room for `words` more words at the cursor. A new chunk doubles the last
+// one (from 4 Ki words, up to 1 Mi words) or fits the request, so filling
+// every row allocates O(log n) times, never once per row; the old chunks
+// stay where they are.
+NodeId* Topology::StaticRows::reserve_(std::size_t words) {
+  if (static_cast<std::size_t>(chunk_end_ - cursor_) < words) {
+    constexpr std::size_t kFirstChunk = std::size_t{1} << 12;
+    constexpr std::size_t kMaxChunk = std::size_t{1} << 20;
+    const std::size_t grown =
+        chunks_.empty() ? kFirstChunk
+                        : std::min(kMaxChunk, 2 * static_cast<std::size_t>(
+                                                      chunk_end_ - chunks_.back().get()));
+    const std::size_t size = std::max(words, grown);
+    chunks_.emplace_back(new NodeId[size]);
+    cursor_ = chunks_.back().get();
+    chunk_end_ = cursor_ + size;
+  }
+  return cursor_;
+}
+
+const NodeId* Topology::StaticRows::fill_(NodeId n, const std::vector<Position>& pos) {
+  const auto x = static_cast<std::size_t>(n);
+  if (n < 0 || x >= row_.size()) throw std::out_of_range{"Topology: node out of range"};
+  const Position p = pos[x];
+  const std::size_t c = grid_.node_cell[x];
+  if (sorted_at_[c] == kUnsorted) sort_block_(c);
+  const NodeId* const block = sorted_.data() + sorted_at_[c] + 1;
+  const auto k = static_cast<std::size_t>(block[-1]);
+  // Branch-free: every candidate is written after the length word, and the
+  // cursor only advances past the ones in range.
+  NodeId* const r = reserve_(k + 1);
+  std::size_t w = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    const NodeId y = block[i];
+    r[w] = y;
+    w += ((distance_sq(p, pos[static_cast<std::size_t>(y)]) <= range_sq_) & (y != n))
+             ? 1
+             : 0;
+  }
+  r[0] = static_cast<NodeId>(w - 1);
+  cursor_ += w;
+  row_[x] = r;
+  ++filled_;
+  return r;
+}
+
+std::shared_ptr<NeighborTable> Topology::StaticRows::table(
+    const std::vector<Position>& pos) {
+  // Cell order keeps each cell's sorted block hot while its rows fill.
+  for (std::size_t s = 0; s < grid_.cell_nodes.size(); ++s) {
+    const auto x = static_cast<std::size_t>(grid_.cell_nodes[s]);
+    if (row_[x] == nullptr) fill_(static_cast<NodeId>(x), pos);
+  }
+  auto t = std::make_shared<NeighborTable>();
+  const std::size_t n = row_.size();
+  t->offsets.resize(n + 1);
+  for (std::size_t x = 0; x < n; ++x) {
+    t->offsets[x + 1] = t->offsets[x] + static_cast<std::size_t>(row_[x][0]);
+  }
+  t->ids.resize(t->offsets[n]);
+  for (std::size_t x = 0; x < n; ++x) {
+    std::copy_n(row_[x] + 1, row_[x][0], t->ids.begin() + static_cast<std::ptrdiff_t>(t->offsets[x]));
+  }
+  return t;
+}
+
+void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
+                            PairBuffers& buf, std::vector<NodeId>& lists,
+                            NeighborTable& out) {
+  const std::size_t n = pos.size();
+  out.offsets.assign(n + 1, 0);
+  out.ids.clear();
+  if (n == 0) return;
+  GridIndex& grid = buf.index;
+  grid.build(pos, radius);
+  // Each slot carries its node's position, so the positions of a row of a
+  // 3x3 block are one contiguous run.
+  buf.cell_pos.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    buf.cell_pos[s] = pos[static_cast<std::size_t>(grid.cell_nodes[s])];
+  }
+  const std::size_t cols = grid.cols, rows = grid.rows;
+  const std::uint32_t* const start = grid.cell_start.data();
+  const Position* const cpos = buf.cell_pos.data();
   const NodeId* const cnodes = grid.cell_nodes.data();
   const double cutoff_sq = sq_cutoff(radius);
   // Visits every non-empty cell in slot order with the slot runs of its
@@ -304,8 +444,8 @@ void Topology::build_pairs_(const std::vector<Position>& pos, double radius,
   // Degrees, each pair tested once: a slot tests the half block after it
   // (the rest of its row's run and the run of the row above) and counts a
   // pair within radius for both ends.
-  grid.slot_degree.assign(n, 0);
-  std::size_t* const degree = grid.slot_degree.data();
+  buf.slot_degree.assign(n, 0);
+  std::size_t* const degree = buf.slot_degree.data();
   for_each_cell([&](std::size_t first, std::size_t last, std::size_t x0,
                     std::size_t x1, std::size_t cy) {
     const std::size_t row_end = start[cy * cols + x1 + 1];
@@ -485,9 +625,9 @@ void Topology::save_state(snap::Serializer& out) const {
     out.f64(p.x);
     out.f64(p.y);
   }
-  out.u64(table_->num_lists());
-  for (std::size_t i = 0; i < table_->num_lists(); ++i) {
-    const NeighborSpan list = table_->neighbors(static_cast<NodeId>(i));
+  out.u64(positions_.size());
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const NeighborSpan list = neighbors(static_cast<NodeId>(i));
     out.u64(list.size());
     for (NodeId n : list) out.i32(n);
   }

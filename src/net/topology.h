@@ -5,26 +5,42 @@
 // 125 m communication range. The extra generators (grid, line, clustered,
 // corridor) open the deployment axis the paper left fixed.
 //
-// Neighbor lists live in one immutable CSR NeighborTable per epoch (offsets
-// plus flat ids, every list ascending), held by shared_ptr. neighbors(n) is
-// a span into the current table; neighbors_handle() hands out the table
-// itself, so a consumer that must keep one frame's receiver set across an
-// epoch tick (the channel, for in-flight transmissions) freezes it with one
-// refcount bump.
-//
-// Without a mobility model the topology is frozen: the table is built once
-// by a uniform-grid spatial index (expected O(n)). With a model
-// (net/mobility.h), advance_to(t) re-samples positions once per epoch and
-// maintains the lists incrementally with Verlet candidate lists: the grid
-// index collects every pair within range + skin of the nodes' anchor
-// positions, and each epoch only filters those candidates with the exact
-// range test. The candidates are rebuilt (and the anchors reset) only once
-// some node's observed displacement from its anchor exceeds skin/2; until
-// then every in-range pair is provably a candidate, whatever the model —
-// teleporting traces included. A new table is published only when a list
-// changed, written into the previous-but-one table when no frame still
-// holds it, so steady-state epochs allocate nothing. Every list is the one
+// neighbors(n) is node n's list: ascending ids, no self, exactly the nodes
 // an all-pairs scan with distance() <= range would give.
+//
+// Without a mobility model the topology is frozen and its lists are filled
+// on demand. Construction builds only a uniform-grid index (nodes counted
+// into range-sized cells, expected O(n)); the first neighbors(n) call fills
+// n's row from the 3x3 block of cells around it. Each cell's block
+// candidates are sorted by id once, the first time any node of the cell
+// asks, so every row comes out ascending without a per-row sort. Rows are
+// written once into append-only chunks that never move: a span from
+// neighbors() stays valid for the topology's whole life, and a trial that
+// reads the ~90 rows of its routing tree builds just those, whatever n is.
+// neighbors_handle() fills every row and freezes them into one CSR
+// NeighborTable (offsets plus flat ids), held by shared_ptr.
+//
+// With a model (net/mobility.h) the lists live in one immutable CSR table
+// per epoch: set_mobility_model fills every row into the first table, and
+// advance_to(t) re-samples positions once per epoch and maintains the lists
+// incrementally with Verlet candidate lists: the grid index collects every
+// pair within range + skin of the nodes' anchor positions, and each epoch
+// only filters those candidates with the exact range test. The candidates
+// are rebuilt (and the anchors reset) only once some node's observed
+// displacement from its anchor exceeds skin/2; until then every in-range
+// pair is provably a candidate, whatever the model — teleporting traces
+// included. A new table is published only when a list changed, written into
+// the previous-but-one table when no frame still holds it, so steady-state
+// epochs allocate nothing. neighbors_handle() hands out the current table,
+// so a consumer that must keep one frame's receiver set across an epoch tick
+// (the channel, for in-flight transmissions) freezes it with one refcount
+// bump.
+//
+// Single-thread contract: the const accessors neighbors(),
+// neighbors_handle(), connected() and save_state() fill rows, so a topology
+// is read by one thread at a time — one topology per trial and thread, as
+// run_scenario and the sweep engine use it. Filled rows are derived state: a
+// copy starts with none filled and answers the same.
 #pragma once
 
 #include <algorithm>
@@ -48,8 +64,9 @@ class Serializer;
 namespace essat::net {
 
 // Read-only view of one node's neighbor list (ascending node ids). Valid
-// while the table it points into is alive: for Topology::neighbors(n), at
-// least until the next epoch that changes a list.
+// while the storage it points into is alive: for Topology::neighbors(n) on
+// a static topology, the topology's whole life; on a mobile one, at least
+// until the next epoch that changes a list.
 class NeighborSpan {
  public:
   using value_type = NodeId;
@@ -134,11 +151,15 @@ class Topology {
   double range() const { return range_m_; }
 
   bool in_range(NodeId a, NodeId b) const;
-  NeighborSpan neighbors(NodeId n) const { return table_->neighbors(n); }
-  // Refcounted handle on the current epoch's table. A published table is
-  // never written while anyone but the topology holds it, so a handle keeps
-  // every list exactly as it was when taken, across any number of epochs.
-  std::shared_ptr<const NeighborTable> neighbors_handle() const { return table_; }
+  // Throws std::out_of_range for an id outside [0, num_nodes()).
+  NeighborSpan neighbors(NodeId n) const {
+    return table_ ? table_->neighbors(n) : rows_.row(n, positions_);
+  }
+  // Refcounted handle on the current epoch's table (a static topology fills
+  // every row into it on the first call). A published table is never
+  // written while anyone but the topology holds it, so a handle keeps every
+  // list exactly as it was when taken, across any number of epochs.
+  std::shared_ptr<const NeighborTable> neighbors_handle() const;
 
   // Node closest to the given point (the paper roots the tree at the node
   // nearest the centre of the area).
@@ -165,29 +186,85 @@ class Topology {
   std::uint64_t neighbor_rebuilds() const { return rebuilds_; }
   std::uint64_t candidate_refreshes() const { return refreshes_; }
   std::uint64_t table_publishes() const { return publishes_; }
+  // Static rows filled on demand so far (at most num_nodes()).
+  std::uint64_t rows_filled() const { return rows_.filled(); }
 
-  // Snapshot hook: positions, neighbor lists, and the mobility epoch
-  // cursor, plus the installed model's state. The Verlet candidates are
-  // derived state and are not written.
+  // Snapshot hook: positions, neighbor lists (every row, through
+  // neighbors()), and the mobility epoch cursor, plus the installed model's
+  // state. The Verlet candidates are derived state and are not written.
   void save_state(snap::Serializer& out) const;
 
  private:
-  // Reusable buffers of the grid spatial index and the neighbor build, so a
-  // Verlet refresh allocates nothing once they reached their high-water mark.
-  struct GridBuffers {
-    std::vector<std::size_t> cell_start;   // CSR over cells, in slots
-    std::vector<NodeId> cell_nodes;        // node id per slot, ascending per cell
+  // Uniform-grid spatial index: nodes counted into cells at least `radius`
+  // wide, so every pair within it lies in a node's 3x3 block of cells. The
+  // buffers are reused, so a Verlet refresh allocates nothing once they
+  // reached their high-water mark.
+  struct GridIndex {
+    std::size_t cols = 0, rows = 0;
+    std::vector<std::uint32_t> cell_start;  // CSR over cells, in slots
+    std::vector<NodeId> cell_nodes;         // node id per slot, ascending per cell
+    std::vector<std::uint32_t> node_cell;   // cell per node id
+
+    // `pos` must not be empty.
+    void build(const std::vector<Position>& pos, double radius);
+  };
+  // The Verlet candidate build's buffers, reused across refreshes.
+  struct PairBuffers {
+    GridIndex index;
     std::vector<Position> cell_pos;        // position per slot
-    std::vector<std::size_t> node_cell;    // cell per node id
     std::vector<std::size_t> slot_degree;  // neighbors per slot
   };
 
+  // A static topology's rows, filled on demand over its grid index. Row x
+  // is a length word followed by the ids, written once into append-only
+  // chunks; row_[x] points at it, or is null until the row is filled.
+  class StaticRows {
+   public:
+    StaticRows() = default;
+    StaticRows(const std::vector<Position>& pos, double range_m);
+    // A copy shares nothing and starts with no row filled.
+    StaticRows(const StaticRows& o);
+    StaticRows& operator=(const StaticRows& o);
+    StaticRows(StaticRows&&) noexcept = default;
+    StaticRows& operator=(StaticRows&&) noexcept = default;
+
+    NeighborSpan row(NodeId n, const std::vector<Position>& pos) {
+      const auto x = static_cast<std::size_t>(n);  // a negative id wraps past n
+      const NodeId* r = x < row_.size() && row_[x] != nullptr ? row_[x] : fill_(n, pos);
+      return NeighborSpan{r + 1, r + 1 + r[0]};
+    }
+    // Fills every row and copies them into one CSR table.
+    std::shared_ptr<NeighborTable> table(const std::vector<Position>& pos);
+    std::uint64_t filled() const { return filled_; }
+
+   private:
+    // Fills row n, or throws std::out_of_range for an id outside the
+    // topology.
+    const NodeId* fill_(NodeId n, const std::vector<Position>& pos);
+    void sort_block_(std::size_t c);
+    NodeId* reserve_(std::size_t words);
+
+    static constexpr std::uint32_t kUnsorted = ~std::uint32_t{0};
+    GridIndex grid_;
+    double range_sq_ = 0.0;
+    std::vector<const NodeId*> row_;
+    // Per cell, where its block's ids start in sorted_ (ascending), or
+    // kUnsorted before any node of the cell asked.
+    std::vector<std::uint32_t> sorted_at_;
+    std::vector<NodeId> sorted_;
+    std::vector<std::unique_ptr<NodeId[]>> chunks_;
+    NodeId* cursor_ = nullptr;
+    NodeId* chunk_end_ = nullptr;
+    std::uint64_t filled_ = 0;
+  };
+
   // Writes into `out` every node's ascending list of the other nodes within
-  // `radius` (distance() <= radius, exactly), found through the grid index.
-  // `lists` is scratch (its contents are overwritten). Each output vector is
-  // resized once, to its exact length; a fresh one allocates just that.
+  // `radius` (distance() <= radius, exactly), found through the grid index:
+  // the Verlet candidate build. `lists` is scratch (its contents are
+  // overwritten). Each output vector is resized once, to its exact length;
+  // a fresh one allocates just that.
   static void build_pairs_(const std::vector<Position>& pos, double radius,
-                           GridBuffers& grid, std::vector<NodeId>& lists,
+                           PairBuffers& buf, std::vector<NodeId>& lists,
                            NeighborTable& out);
   bool drifted_past_skin_() const;
   void refresh_candidates_();
@@ -197,9 +274,13 @@ class Topology {
   std::vector<Position> positions_;
   double range_m_;
   double range_sq_;  // sq_cutoff(range_m_): the exact in-range test
+  // Static lists. `mutable`: neighbors() fills a row on its first read.
+  mutable StaticRows rows_;
   // The published table and the previous one, recycled for the next
-  // publish when no frame holds it any more.
-  std::shared_ptr<NeighborTable> table_;
+  // publish when no frame holds it any more. Null on a static topology
+  // until neighbors_handle() or set_mobility_model() fills every row into
+  // it; from then on neighbors() reads it.
+  mutable std::shared_ptr<NeighborTable> table_;
   std::shared_ptr<NeighborTable> spare_;
   std::shared_ptr<MobilityModel> mobility_;
   util::Time epoch_ = util::Time::seconds(5);
@@ -209,11 +290,11 @@ class Topology {
   std::uint64_t publishes_ = 0;
   // Verlet state (mobile topologies only): the candidate pairs within
   // range + skin of the anchors, this epoch's filtered lists before they
-  // are compared against the published table, and the grid buffers.
+  // are compared against the published table, and the build's buffers.
   std::vector<Position> anchors_;
   NeighborTable candidates_;
   NeighborTable next_;
-  GridBuffers grid_;
+  PairBuffers pair_buffers_;
 };
 
 // ---------------------------------------------------------------------------

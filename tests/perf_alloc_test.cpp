@@ -322,10 +322,16 @@ TEST(SteadyStateAlloc, MobilityEpochAdvanceIsAllocationFree) {
   EXPECT_GE(topo.table_publishes() - publishes, 100u);
 }
 
-// A static topology's neighbor build sizes each buffer once, to its exact
-// length: the same few allocations at any n, none from growing a list.
+// A static topology's construction builds only its grid index, sizing each
+// buffer once: the same few allocations at any n. Filling every row writes
+// into append-only chunks that double in size, so it allocates O(log n)
+// times, never once per row.
 TEST(SteadyStateAlloc, StaticTopologyBuildAllocationsDoNotGrowWithN) {
-  const auto build_allocations = [](std::size_t n) {
+  struct Counts {
+    std::uint64_t build = 0;
+    std::uint64_t fill = 0;
+  };
+  const auto allocations = [](std::size_t n) {
     util::Rng rng{9};
     const double area = 500.0 * std::sqrt(static_cast<double>(n) / 80.0);
     std::vector<net::Position> pos;
@@ -333,15 +339,27 @@ TEST(SteadyStateAlloc, StaticTopologyBuildAllocationsDoNotGrowWithN) {
     for (std::size_t i = 0; i < n; ++i) {
       pos.push_back(net::Position{rng.uniform(0.0, area), rng.uniform(0.0, area)});
     }
-    CountScope scope;
+    Counts counts;
+    CountScope build_scope;
     const net::Topology topo{std::move(pos), 125.0};
-    const std::uint64_t allocations = scope.count();
-    EXPECT_GT(topo.neighbors_handle()->ids.size(), 10 * n);  // a real table
-    return allocations;
+    counts.build = build_scope.count();
+    std::size_t entries = 0;
+    {
+      CountScope fill_scope;
+      for (std::size_t i = 0; i < n; ++i) {
+        entries += topo.neighbors(static_cast<net::NodeId>(i)).size();
+      }
+      counts.fill = fill_scope.count();
+    }
+    EXPECT_GT(entries, 10 * n);  // a real table
+    EXPECT_EQ(topo.rows_filled(), n);
+    return counts;
   };
-  const std::uint64_t small = build_allocations(1000);
-  EXPECT_EQ(build_allocations(10000), small);
-  EXPECT_LE(small, 12u);
+  const Counts small = allocations(1000);
+  const Counts large = allocations(10000);
+  EXPECT_EQ(large.build, small.build);
+  EXPECT_LE(small.build, 12u);
+  EXPECT_LE(large.fill, 40u) << "filling 10,000 rows must not allocate per row";
 }
 
 // Per-link streams: the shadowing gain and the Gilbert-Elliott initial

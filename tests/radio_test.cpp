@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/energy/duty_cycle.h"
 #include "src/energy/radio.h"
 #include "src/sim/simulator.h"
@@ -148,20 +151,49 @@ TEST(Radio, RedundantTurnOnIsNoop) {
   EXPECT_EQ(r.state(), RadioState::kOn);
 }
 
+// Appends every state it is told about, tagged with its own label, to a log
+// shared by all recorders.
+struct Recorder final : RadioObserver {
+  Recorder(int label, std::vector<std::pair<int, RadioState>>& log)
+      : label{label}, log{log} {}
+  void on_radio_state(RadioState s) override { log.emplace_back(label, s); }
+  int label;
+  std::vector<std::pair<int, RadioState>>& log;
+};
+
 TEST(Radio, ObserversSeeStateChanges) {
   sim::Simulator sim;
   Radio r{sim, fast_params()};
-  std::vector<RadioState> seen;
-  r.add_state_observer([&](RadioState s) { seen.push_back(s); });
+  std::vector<std::pair<int, RadioState>> seen;
+  Recorder rec{0, seen};
+  r.add_state_observer(&rec);
   r.turn_off();
   sim.run_until(Time::from_milliseconds(2.0));
   r.turn_on();
   sim.run();
   ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], RadioState::kTurningOff);
-  EXPECT_EQ(seen[1], RadioState::kOff);
-  EXPECT_EQ(seen[2], RadioState::kTurningOn);
-  EXPECT_EQ(seen[3], RadioState::kOn);
+  EXPECT_EQ(seen[0].second, RadioState::kTurningOff);
+  EXPECT_EQ(seen[1].second, RadioState::kOff);
+  EXPECT_EQ(seen[2].second, RadioState::kTurningOn);
+  EXPECT_EQ(seen[3].second, RadioState::kOn);
+}
+
+TEST(Radio, ObserversRunInRegistrationOrder) {
+  // Past the two inline slots too: a churn restart registers a fresh MAC
+  // and SafeSleep on the same radio.
+  sim::Simulator sim;
+  Radio r{sim, fast_params()};
+  std::vector<std::pair<int, RadioState>> seen;
+  Recorder a{0, seen}, b{1, seen}, c{2, seen};
+  r.add_state_observer(&a);
+  r.add_state_observer(&b);
+  r.add_state_observer(&c);
+  r.turn_off();
+  ASSERT_EQ(seen.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)],
+              std::make_pair(i, RadioState::kTurningOff));
+  }
 }
 
 TEST(Radio, DutyCycleCountsTransitionsAsActive) {
