@@ -4,12 +4,12 @@
 
 namespace essat::energy {
 
-Radio::Radio(sim::Simulator& sim, RadioParams params)
+Radio::Radio(sim::Simulator& sim, RadioParams params, util::Time since)
     : sim_{sim},
       params_{params},
       transition_timer_{sim},
-      window_start_{sim.now()},
-      segment_start_{sim.now()} {}
+      window_start_{since},
+      segment_start_{since} {}
 
 void Radio::add_state_observer(RadioObserver* observer) {
   observers_.push_back(observer);
@@ -30,8 +30,7 @@ double Radio::current_power_mw_() const {
   return 0.0;
 }
 
-void Radio::account_to_now_() {
-  const util::Time now = sim_.now();
+void Radio::account_to_(util::Time now) {
   const util::Time dt = now - segment_start_;
   if (dt > util::Time::zero()) {
     if (state_ == RadioState::kOff) {
@@ -155,16 +154,16 @@ void Radio::note_rx(bool active) {
   rx_active_ = active;
 }
 
-void Radio::begin_measurement() {
-  account_to_now_();
-  window_start_ = sim_.now();
+void Radio::begin_measurement_at(util::Time start) {
+  account_to_(start);
+  window_start_ = start;
   off_accum_ = util::Time::zero();
   on_accum_ = util::Time::zero();
   energy_mj_ = 0.0;
   sleep_intervals_.clear();
   // A sleep interval straddling the window start is counted from the window
   // start.
-  if (in_off_interval_) off_enter_time_ = sim_.now();
+  if (in_off_interval_) off_enter_time_ = start;
 }
 
 util::Time Radio::active_time() const {

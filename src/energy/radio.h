@@ -55,7 +55,13 @@ struct RadioParams {
 
 class Radio {
  public:
-  Radio(sim::Simulator& sim, RadioParams params);
+  // A radio is ON from construction. `since` is when that began: a radio
+  // built late for a node nothing had touched (see harness::run_scenario)
+  // passes the time its untouched ON period started, so its accounting
+  // adds the same intervals in the same order as one built back then.
+  Radio(sim::Simulator& sim, RadioParams params)
+      : Radio(sim, params, sim.now()) {}
+  Radio(sim::Simulator& sim, RadioParams params, util::Time since);
 
   RadioState state() const { return state_; }
   bool is_on() const { return state_ == RadioState::kOn; }
@@ -101,7 +107,12 @@ class Radio {
 
   // --- Accounting -------------------------------------------------------
   // Restarts the measurement window at the current simulation time.
-  void begin_measurement();
+  void begin_measurement() { begin_measurement_at(sim_.now()); }
+  // Restarts the measurement window at `start`, which may lie in the past
+  // only while the radio has not changed state since `start` (a radio built
+  // late, whose window opened before it existed). The saved state then
+  // equals that of a radio that called begin_measurement() at `start`.
+  void begin_measurement_at(util::Time start);
   // Time in the window the radio was not OFF (transitions count as active).
   util::Time active_time() const;
   // Time in the window the radio was OFF.
@@ -125,7 +136,8 @@ class Radio {
 
  private:
   void enter_(RadioState next);
-  void account_to_now_();
+  void account_to_now_() { account_to_(sim_.now()); }
+  void account_to_(util::Time t);
   double current_power_mw_() const;
 
   sim::Simulator& sim_;

@@ -1,10 +1,13 @@
 #include "src/harness/scenario.h"
 
+#include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/core/maintenance.h"
 #include "src/core/safe_sleep.h"
@@ -50,12 +53,125 @@ namespace {
 
 // The policy-agnostic per-node substrate. Everything protocol-specific
 // (SafeSleep schedulers, beacon/backbone machinery) is owned by the
-// PowerManager the registry instantiated.
+// PowerManager the registry instantiated. NodeStacks builds the radio and
+// the MAC together, in one allocation; the shaper and the query agent
+// exist only on tree members.
 struct NodeStack {
-  std::unique_ptr<energy::Radio> radio;
-  std::unique_ptr<mac::CsmaMac> mac;
+  NodeStack(sim::Simulator& sim, net::Channel& channel,
+            energy::RadioParams radio_params, net::NodeId id,
+            mac::MacParams mac_params, util::Rng&& rng)
+      : radio{sim, radio_params, util::Time::zero()},
+        mac{sim, channel, radio, id, mac_params, std::move(rng)} {}
+  // The MAC, the channel and the policy hold the radio's and MAC's addresses.
+  NodeStack(const NodeStack&) = delete;
+  NodeStack& operator=(const NodeStack&) = delete;
+
+  energy::Radio radio;
+  mac::CsmaMac mac;
   std::unique_ptr<query::TrafficShaper> shaper;
   std::unique_ptr<query::QueryAgent> agent;
+};
+
+// Every node's stack, each built by stack(id) the first time anything needs
+// it rather than all n up front: a city-scale trial's tree members and the
+// nodes their frames reach are a few hundred of 100,000. The channel asks
+// for a node's stack (ListenerSource) when a frame first reaches it.
+//
+// Laziness is unobservable. Until a frame reaches it or the harness acts on
+// it, a node's radio is ON and idle since t = 0, its MAC has heard nothing
+// and its channel entry is untouched. A late build reproduces exactly that:
+// the radio accounts from t = 0 and opens the measurement window at its
+// start if that has passed, and the MAC's stream is a pure fork of the
+// master. The one trace difference is the node's bring-up kChanListen
+// record, which appears at its first contact instead of at t = 0.
+class NodeStacks final : public net::ListenerSource {
+ public:
+  NodeStacks(std::size_t n, sim::Simulator& sim, net::Channel& channel,
+             energy::RadioParams radio_params, mac::MacParams mac_params,
+             const util::Rng& master)
+      : sim_{sim},
+        channel_{channel},
+        radio_params_{radio_params},
+        mac_params_{mac_params},
+        master_{master},
+        nodes_(n) {}
+  NodeStacks(const NodeStacks&) = delete;
+  NodeStacks& operator=(const NodeStacks&) = delete;
+
+  NodeStack& stack(net::NodeId id) {
+    std::unique_ptr<NodeStack>& node = nodes_[static_cast<std::size_t>(id)];
+    if (!node) build_(id, node);
+    return *node;
+  }
+  void build_all() {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      stack(static_cast<net::NodeId>(i));
+    }
+  }
+  // A node with no stack has an untouched radio, and those never fail.
+  bool alive(net::NodeId id) const {
+    const std::unique_ptr<NodeStack>& node = nodes_[static_cast<std::size_t>(id)];
+    return !node || !node->radio.failed();
+  }
+  // Opens the measurement window now on every radio built so far; a radio
+  // built later opens it at the same instant.
+  void begin_measurement() {
+    measure_start_ = sim_.now();
+    for (const std::unique_ptr<NodeStack>& node : nodes_) {
+      if (node) node->radio.begin_measurement();
+    }
+  }
+  // Receive demultiplexing: core packet types go to their substrate
+  // handlers; everything else is the policy's private control traffic.
+  // Wired once, before the first event runs.
+  void route_packets(routing::TreeSetupProtocol* setup, PowerManager& policy) {
+    setup_ = setup;
+    policy_ = &policy;
+  }
+
+  void materialize(net::NodeId id) override { stack(id); }
+
+ private:
+  void build_(net::NodeId id, std::unique_ptr<NodeStack>& node) {
+    node = std::make_unique<NodeStack>(
+        sim_, channel_, radio_params_, id, mac_params_,
+        master_.fork(100 + static_cast<std::uint64_t>(id)));
+    node->radio.set_trace_id(id);
+    if (measure_start_) node->radio.begin_measurement_at(*measure_start_);
+    // Two words of capture: fits std::function's local buffer, so a
+    // handler costs no allocation of its own.
+    node->mac.set_rx_handler(
+        [stacks = this, id](const net::Packet& p) { stacks->receive_(id, p); });
+  }
+
+  void receive_(net::NodeId id, const net::Packet& p) {
+    const util::ScopedNodeContext log_node{id};
+    NodeStack& node = *nodes_[static_cast<std::size_t>(id)];
+    switch (p.type) {
+      case net::PacketType::kData:
+      case net::PacketType::kPhaseRequest:
+        if (node.agent) node.agent->handle_packet(p);
+        break;
+      case net::PacketType::kSetup:
+      case net::PacketType::kJoin:
+      case net::PacketType::kRankReport:
+        if (setup_ != nullptr) setup_->handle_packet(id, p);
+        break;
+      default:
+        policy_->handle_packet(id, p);
+        break;
+    }
+  }
+
+  sim::Simulator& sim_;
+  net::Channel& channel_;
+  const energy::RadioParams radio_params_;
+  const mac::MacParams mac_params_;
+  const util::Rng& master_;
+  std::vector<std::unique_ptr<NodeStack>> nodes_;
+  std::optional<util::Time> measure_start_;
+  routing::TreeSetupProtocol* setup_ = nullptr;
+  PowerManager* policy_ = nullptr;
 };
 
 // "{seed}" substitution for TraceSpec export paths, so a sweep's one traced
@@ -101,10 +217,6 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   sim::Simulator sim;
   // Per-run log context: lines emitted during this run carry the sim time.
   util::ScopedLogClock log_clock{[&sim] { return sim.now().ns(); }};
-  // Pre-size the event queue for the expected concurrently-live event
-  // population (a handful of timers and in-flight frames per node), so
-  // steady-state scheduling never reallocates slot/heap storage mid-run.
-  sim.reserve_events(topo.num_nodes() * 8 + 64);
 
   // --- Observability -------------------------------------------------------
   std::unique_ptr<obs::Tracer> tracer;
@@ -140,39 +252,12 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   radio_params.t_on_off = config.t_be / 2;
 
   const std::size_t n = topo.num_nodes();
-  std::vector<NodeStack> nodes(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    nodes[i].radio = std::make_unique<energy::Radio>(sim, radio_params);
-    nodes[i].radio->set_trace_id(id);
-    nodes[i].mac = std::make_unique<mac::CsmaMac>(
-        sim, channel, *nodes[i].radio, id, config.mac_params, master.fork(100 + i));
-  }
-
-  // Per-node time-series sampling (duty cycle, send-queue depth, radio
-  // state) plus the run-global pending-event count. The sampler schedules
-  // its own probe events, so it runs only when the trial is traced AND a
-  // period was requested; untraced trials keep the exact legacy event
-  // stream.
-  if (tracer && config.trace.sample_period > util::Time::zero()) {
-    sampler = std::make_unique<obs::NodeSampler>(config.trace.series_cap);
-    sampler->add_channel("pending_events", -1,
-                         [&sim] { return static_cast<double>(sim.pending_events()); });
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<std::int32_t>(i);
-      energy::Radio* radio = nodes[i].radio.get();
-      mac::CsmaMac* mac = nodes[i].mac.get();
-      sampler->add_channel("duty_cycle", id,
-                           [radio] { return radio->duty_cycle(); });
-      sampler->add_channel("queue_depth", id, [mac] {
-        return static_cast<double>(mac->queue_depth());
-      });
-      sampler->add_channel("radio_state", id, [radio] {
-        return static_cast<double>(static_cast<int>(radio->state()));
-      });
-    }
-    sampler->start(sim, config.trace.sample_period);
-  }
+  NodeStacks stacks{n, sim, channel, radio_params, config.mac_params, master};
+  channel.set_listener_source(&stacks);
+  // Declared after `stacks` so the policy (and everything it owns, e.g.
+  // SafeSleep instances referencing the radios/MACs) is destroyed first.
+  std::unique_ptr<PowerManager> policy =
+      StackRegistry::instance().create(config.protocol.name, config);
 
   // --- Routing tree -------------------------------------------------------
   routing::Tree tree{n};
@@ -185,12 +270,54 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
             .max_dist_from_root = config.deployment.max_tree_dist_m},
         std::move(setup_rng), parent_policy.get());
     for (std::size_t i = 0; i < n; ++i) {
-      setup_protocol->attach_mac(static_cast<net::NodeId>(i), nodes[i].mac.get());
+      const auto id = static_cast<net::NodeId>(i);
+      setup_protocol->attach_mac(id, &stacks.stack(id).mac);
     }
   } else {
     tree = routing::build_policy_tree(topo, root,
                                       config.deployment.max_tree_dist_m,
                                       parent_policy.get());
+  }
+  stacks.route_packets(setup_protocol.get(), *policy);
+
+  // Per-node time-series sampling (duty cycle, send-queue depth, radio
+  // state) plus the run-global pending-event count. The sampler schedules
+  // its own probe events, so it runs only when the trial is traced AND a
+  // period was requested; untraced trials keep the exact legacy event
+  // stream. It reads every node, so it builds every stack.
+  const bool sampling =
+      tracer && config.trace.sample_period > util::Time::zero();
+
+  // Pre-size the event queue, before its first push, for the expected
+  // concurrently-live event population: a handful of timers and in-flight
+  // frames per node that will hold a stack. Set-up by flooding reaches
+  // every node; a precomputed tree runs on its members (and the few
+  // neighbours their frames reach, inside the slack). Steady-state
+  // scheduling then never reallocates slot storage mid-run.
+  const std::size_t stacked = config.use_distributed_setup || sampling
+                                  ? n
+                                  : tree.member_count();
+  sim.reserve_events(stacked * 8 + 64);
+
+  if (sampling) {
+    sampler = std::make_unique<obs::NodeSampler>(config.trace.series_cap);
+    sampler->add_channel("pending_events", -1,
+                         [&sim] { return static_cast<double>(sim.pending_events()); });
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::int32_t>(i);
+      NodeStack& node = stacks.stack(id);
+      energy::Radio* radio = &node.radio;
+      mac::CsmaMac* mac = &node.mac;
+      sampler->add_channel("duty_cycle", id,
+                           [radio] { return radio->duty_cycle(); });
+      sampler->add_channel("queue_depth", id, [mac] {
+        return static_cast<double>(mac->queue_depth());
+      });
+      sampler->add_channel("radio_state", id, [radio] {
+        return static_cast<double>(static_cast<int>(radio->state()));
+      });
+    }
+    sampler->start(sim, config.trace.sample_period);
   }
 
   // --- Phasing constants ---------------------------------------------------
@@ -216,10 +343,6 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   }
 
   // --- Power-management policy -------------------------------------------
-  // Declared after `nodes` so the policy (and everything it owns, e.g.
-  // SafeSleep instances referencing the radios/MACs) is destroyed first.
-  std::unique_ptr<PowerManager> policy =
-      StackRegistry::instance().create(config.protocol.name, config);
   const StackContext stack_ctx{sim,    topo,      tree,      root,
                                config, setup_end, policy_rng};
 
@@ -232,8 +355,8 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   std::vector<query::Query> active_queries;
 
   auto build_one_stack = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    const NodeHandles handles{id, *node.radio, *node.mac};
+    NodeStack& node = stacks.stack(id);
+    const NodeHandles handles{id, node.radio, node.mac};
 
     node.shaper = policy->make_shaper(stack_ctx, handles);
     core::SafeSleep* sleeper = policy->attach_node(stack_ctx, handles);
@@ -246,7 +369,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
     node.shaper->set_context(query::ShaperContext{&tree, id, sleeper});
     node.agent = std::make_unique<query::QueryAgent>(
-        sim, *node.mac, tree, id, *node.shaper,
+        sim, node.mac, tree, id, *node.shaper,
         query::QueryAgentParams{.t_comp = config.t_comp});
     if (id == root) {
       node.agent->set_root_arrival_hook(
@@ -260,38 +383,6 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     policy->on_tree_ready(stack_ctx);
     for (net::NodeId id : tree.members()) build_one_stack(id);
   };
-
-  // Receive demultiplexing: core packet types go to their substrate
-  // handlers; everything else is the policy's private control traffic.
-  // Each handler captures one pointer to the shared targets plus its id, so
-  // it fits std::function's local buffer instead of allocating per node.
-  struct RxDemux {
-    std::vector<NodeStack>& nodes;
-    const std::unique_ptr<routing::TreeSetupProtocol>& setup_protocol;
-    PowerManager& policy;
-  };
-  const RxDemux demux{nodes, setup_protocol, *policy};
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    nodes[i].mac->set_rx_handler([ctx = &demux, id](const net::Packet& p) {
-      const util::ScopedNodeContext log_node{id};
-      auto& node = ctx->nodes[static_cast<std::size_t>(id)];
-      switch (p.type) {
-        case net::PacketType::kData:
-        case net::PacketType::kPhaseRequest:
-          if (node.agent) node.agent->handle_packet(p);
-          break;
-        case net::PacketType::kSetup:
-        case net::PacketType::kJoin:
-        case net::PacketType::kRankReport:
-          if (ctx->setup_protocol) ctx->setup_protocol->handle_packet(id, p);
-          break;
-        default:
-          ctx->policy.handle_packet(id, p);
-          break;
-      }
-    });
-  }
 
   // --- Maintenance / repair ----------------------------------------------
   routing::RepairService repair{topo, tree, {}};
@@ -307,11 +398,10 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     if (!maintenance_on) return;
     maintenance = std::make_unique<core::MaintenanceService>(repair,
                                                              core::MaintenanceParams{});
-    maintenance->set_alive_predicate([&nodes](net::NodeId m) {
-      return !nodes[static_cast<std::size_t>(m)].radio->failed();
-    });
+    maintenance->set_alive_predicate(
+        [&stacks](net::NodeId m) { return stacks.alive(m); });
     for (net::NodeId id : tree.members()) {
-      maintenance->attach_agent(id, nodes[static_cast<std::size_t>(id)].agent.get());
+      maintenance->attach_agent(id, stacks.stack(id).agent.get());
     }
     repair.set_hooks(maintenance->make_repair_hooks());
   };
@@ -336,7 +426,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
       active_queries.push_back(q);
     }
     for (net::NodeId id : tree.members()) {
-      auto& node = nodes[static_cast<std::size_t>(id)];
+      NodeStack& node = stacks.stack(id);
       if (!node.agent) continue;  // crashed before the workload started
       for (const auto& q : active_queries) node.agent->register_query(q);
     }
@@ -351,9 +441,9 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   std::vector<char> awaiting_rejoin(n, 0);
   auto teardown_node = [&](net::NodeId id) {
     const auto i = static_cast<std::size_t>(id);
-    auto& node = nodes[i];
-    node.mac->crash_reset();
-    node.radio->crash();
+    NodeStack& node = stacks.stack(id);
+    node.mac.crash_reset();
+    node.radio.crash();
     if (sleepers[i] != nullptr) {
       sleepers[i]->deactivate();
       sleepers[i] = nullptr;
@@ -370,7 +460,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     return (now - q.phase).ns() / q.period.ns() + 1;
   };
   auto complete_restart = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
+    NodeStack& node = stacks.stack(id);
     build_one_stack(id);
     for (const query::Query& q : active_queries) {
       node.agent->register_query_from(q, first_epoch_after(q, sim.now()));
@@ -378,9 +468,9 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     if (maintenance) maintenance->attach_agent(id, node.agent.get());
   };
   auto restart_node = [&](net::NodeId id) {
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    node.radio->restore();
-    node.radio->turn_on();
+    NodeStack& node = stacks.stack(id);
+    node.radio.restore();
+    node.radio.turn_on();
     if (tree.is_member(id)) {
       // The outage was short enough that maintenance never removed the
       // node; its stack resumes on the existing tree position.
@@ -393,16 +483,14 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   if (fault_engine) {
     fault_engine->set_crash_callback(teardown_node);
     fault_engine->set_restart_callback(restart_node);
-    fault_engine->set_energy_probe([&nodes](net::NodeId id) {
-      return nodes[static_cast<std::size_t>(id)].radio->lifetime_energy_mj();
+    fault_engine->set_energy_probe([&stacks](net::NodeId id) {
+      return stacks.stack(id).radio.lifetime_energy_mj();
     });
     // Rejoin retries ride a bounded exponential backoff with deterministic
     // jitter from stream 8 (forked only here — see the engine note above).
     repair.enable_retries(
         sim, master.fork(8), routing::RepairService::RetryParams{},
-        [&nodes](net::NodeId m) {
-          return !nodes[static_cast<std::size_t>(m)].radio->failed();
-        });
+        [&stacks](net::NodeId m) { return stacks.alive(m); });
     repair.set_rejoin_callback([&](net::NodeId id) {
       if (!awaiting_rejoin[static_cast<std::size_t>(id)]) return;
       awaiting_rejoin[static_cast<std::size_t>(id)] = 0;
@@ -412,8 +500,11 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   // --- Snapshot hook --------------------------------------------------------
   // Serializes every live component into one "TRST" section — the byte
-  // layout the capture and restore-attestation paths diff. Pure reads.
+  // layout the capture and restore-attestation paths diff. It first builds
+  // every stack (unobservably, see NodeStacks), so the bytes cover all n
+  // nodes exactly as an eager build would; otherwise pure reads.
   auto serialize_components = [&]() -> std::vector<std::uint8_t> {
+    stacks.build_all();
     snap::Serializer out;
     out.begin("TRST");
     sim.save_state(out);
@@ -431,12 +522,13 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     link_estimator.save_state(out);
     out.u64(n);
     for (std::size_t i = 0; i < n; ++i) {
-      nodes[i].radio->save_state(out);
-      nodes[i].mac->save_state(out);
-      out.boolean(nodes[i].shaper != nullptr);
-      if (nodes[i].shaper) nodes[i].shaper->save_state(out);
-      out.boolean(nodes[i].agent != nullptr);
-      if (nodes[i].agent) nodes[i].agent->save_state(out);
+      const NodeStack& node = stacks.stack(static_cast<net::NodeId>(i));
+      node.radio.save_state(out);
+      node.mac.save_state(out);
+      out.boolean(node.shaper != nullptr);
+      if (node.shaper) node.shaper->save_state(out);
+      out.boolean(node.agent != nullptr);
+      if (node.agent) node.agent->save_state(out);
     }
     policy->save_state(out);
     latency.save_state(out);
@@ -481,15 +573,13 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
     sim.schedule_in(topo.mobility_epoch(), MobilityTick{&topo, &sim});
   }
 
-  sim.schedule_at(measure_start, [&] {
-    for (auto& node : nodes) node.radio->begin_measurement();
-  });
+  sim.schedule_at(measure_start, [&stacks] { stacks.begin_measurement(); });
 
   // Failure injection.
   for (const auto& [victim, offset] : config.failures) {
-    sim.schedule_at(setup_end + offset, [&nodes, victim = victim] {
-      auto& node = nodes[static_cast<std::size_t>(victim)];
-      node.radio->fail();
+    sim.schedule_at(setup_end + offset, [&stacks, victim = victim] {
+      NodeStack& node = stacks.stack(victim);
+      node.radio.fail();
       if (node.agent) node.agent->halt();
     });
   }
@@ -548,9 +638,9 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   std::vector<int> rank_of;
   int live_members = 0;
   for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
-    if (node.radio->failed()) continue;
-    radios.push_back(node.radio.get());
+    const NodeStack& node = stacks.stack(id);
+    if (node.radio.failed()) continue;
+    radios.push_back(&node.radio);
     rank_of.push_back(tree.rank(id));
     ++live_members;
   }
@@ -576,21 +666,21 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
   out.frac_sleep_below_2_5ms = out.sleep_hist.fraction_below(0.0025);
 
   for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
+    const NodeStack& node = stacks.stack(id);
     RunMetrics::NodeDiag diag;
     diag.id = id;
     diag.rank = tree.rank(id);
     diag.level = tree.level(id);
     diag.leaf = tree.is_leaf(id);
-    diag.duty_cycle = node.radio->duty_cycle();
+    diag.duty_cycle = node.radio.duty_cycle();
     if (node.agent) {
       diag.reports_sent = node.agent->stats().reports_sent;
       diag.send_failures = node.agent->stats().send_failures;
       diag.pass_through = node.agent->stats().pass_through_forwarded;
       diag.child_timeouts = node.agent->stats().child_timeouts;
     }
-    diag.retx_no_ack = node.mac->stats().retries;
-    diag.cca_busy_defers = node.mac->stats().cca_busy_defers;
+    diag.retx_no_ack = node.mac.stats().retries;
+    diag.cca_busy_defers = node.mac.stats().cca_busy_defers;
     diag.repair_attempts = repair.repair_attempts(id);
     out.mac_retx_no_ack += diag.retx_no_ack;
     out.mac_cca_busy_defers += diag.cca_busy_defers;
@@ -599,7 +689,7 @@ RunMetrics run_scenario(const ScenarioConfig& config_in,
 
   std::uint64_t phase_updates = 0;
   for (net::NodeId id : members) {
-    const auto& node = nodes[static_cast<std::size_t>(id)];
+    const NodeStack& node = stacks.stack(id);
     if (node.shaper) phase_updates += node.shaper->phase_updates_sent();
     if (node.agent) {
       out.reports_sent += node.agent->stats().reports_sent;

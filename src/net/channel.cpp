@@ -172,6 +172,10 @@ void Channel::start_tx(NodeId sender, Packet p, util::Time duration) {
 
 void Channel::begin_arrival_(NodeId receiver, const PacketRef& p) {
   auto& node = node_(receiver);
+  // First contact: build the receiver before anything reads its state.
+  if (node.listener == nullptr && source_ != nullptr) {
+    source_->materialize(receiver);
+  }
   // Idle -> busy edge iff this is the first arriving frame at a silent
   // node; otherwise busy() was already true and the notify is skipped.
   const bool busy_edge = node.arriving_count == 0 && !node.transmitting;

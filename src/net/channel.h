@@ -120,6 +120,22 @@ class ChannelListener {
   virtual void on_channel_activity() = 0;
 };
 
+// Builds a node's receive side on demand. A channel with a source installed
+// calls materialize(node) when a frame begins arriving at a node that has no
+// listener, before it reads any of that node's state. The call must attach
+// the node's listener and set its listening flag, so it happens once per
+// node: on the first arrival, and never for a node no frame reaches. A node
+// nothing has built is thereby indistinguishable from one built at t = 0
+// and left untouched, since until a frame arrives nothing could have
+// happened to it.
+class ListenerSource {
+ public:
+  virtual void materialize(NodeId node) = 0;
+
+ protected:
+  ~ListenerSource() = default;
+};
+
 class Channel {
  public:
   Channel(sim::Simulator& sim, const Topology& topo, ChannelParams params = {});
@@ -139,12 +155,16 @@ class Channel {
   void attach(NodeId node, ChannelListener* listener) {
     nodes_.at(static_cast<std::size_t>(node)).listener = listener;
   }
+  // Installs the source that builds listeners on first arrival (nullptr =
+  // none: a node without a listener just does not hear). Not owned.
+  void set_listener_source(ListenerSource* source) { source_ = source; }
 
   // Cached "can this node hear right now?" flag, maintained by the owner of
   // the radio/MAC state (radio fully ON and not transmitting). Replaces the
   // per-arrival is_listening() callback: the hot path reads one bool.
   // Nodes start not listening — attach + set_listening(node, true) is the
-  // canonical bring-up.
+  // canonical bring-up, done when the node's MAC is built: at set-up, or
+  // by the ListenerSource at the first frame that reaches the node.
   void set_listening(NodeId node, bool listening);
   bool listening(NodeId node) const { return node_(node).listening; }
 
@@ -243,6 +263,7 @@ class Channel {
   const Topology& topo_;
   ChannelParams params_;
   std::unique_ptr<LinkModel> link_model_;
+  ListenerSource* source_ = nullptr;
   bool model_active_ = false;  // false also for installed lossless models
   const bool sinr_active_;     // params_.sinr.enabled, frozen at construction
   double noise_mw_ = 0.0;      // linear noise floor (SINR mode only)

@@ -37,8 +37,10 @@ struct TrialCheckpoint {
   // (see above) take effect; everything else has already been consumed.
   harness::ScenarioConfig& config;
   // Serializes every live component into a "TRST" section (the byte layout
-  // the capture and attestation paths diff). Pure reads; callable any
-  // number of times, always producing identical bytes at a given sim time.
+  // the capture and attestation paths diff). It builds any node stack not
+  // yet built, which the run cannot observe, and otherwise only reads;
+  // callable any number of times, always producing identical bytes at a
+  // given sim time.
   std::function<std::vector<std::uint8_t>()> serialize;
   // Set true to abandon the run after the hook returns.
   bool stop = false;

@@ -246,5 +246,50 @@ TEST(Channel, BackToBackFramesBothDeliver) {
   EXPECT_TRUE(l1.received[1].second);
 }
 
+// Builds a Listener for a node on its first arrival, as the harness builds
+// a node's stack, and records the order of first contacts.
+struct CountingSource : ListenerSource {
+  Channel* ch = nullptr;
+  std::vector<Listener> listeners = std::vector<Listener>(3);
+  std::vector<NodeId> materialized;
+
+  void materialize(NodeId node) override {
+    materialized.push_back(node);
+    listeners[static_cast<std::size_t>(node)].listen_on(*ch, node);
+  }
+};
+
+TEST(Channel, ListenerSourceBuildsEachNodeOnceOnItsFirstArrival) {
+  sim::Simulator sim;
+  Topology topo = line_topo();
+  Channel ch{sim, topo};
+  CountingSource source;
+  source.ch = &ch;
+  ch.set_listener_source(&source);
+
+  // 0 reaches only 1; node 2 is out of range and never built.
+  ch.start_tx(0, test_packet(0, 1), Time::microseconds(500));
+  sim.run();
+  ASSERT_EQ(source.materialized, (std::vector<NodeId>{1}));
+  // Built before the arrival was handled: the frame found it listening.
+  ASSERT_EQ(source.listeners[1].received.size(), 1u);
+  EXPECT_TRUE(source.listeners[1].received[0].second);
+  EXPECT_EQ(source.listeners[1].notifications, 2);  // busy, then idle
+
+  // A second frame to 1 builds nothing new.
+  ch.start_tx(0, test_packet(0, 1), Time::microseconds(500));
+  sim.run();
+  EXPECT_EQ(source.materialized, (std::vector<NodeId>{1}));
+  EXPECT_EQ(source.listeners[1].received.size(), 2u);
+
+  // 1 reaches 0 and 2, first contact for both, in neighbour order.
+  ch.start_tx(1, test_packet(1, 2), Time::microseconds(500));
+  sim.run();
+  EXPECT_EQ(source.materialized, (std::vector<NodeId>{1, 0, 2}));
+  ASSERT_EQ(source.listeners[2].received.size(), 1u);
+  EXPECT_TRUE(source.listeners[2].received[0].second);
+  EXPECT_EQ(ch.delivered(), 4u);
+}
+
 }  // namespace
 }  // namespace essat::net

@@ -12,6 +12,8 @@
 
 #include "bench/alloc_hook.h"
 #include "src/essat.h"
+#include "src/snap/hook.h"
+#include "src/snap/trial.h"
 
 namespace essat {
 namespace {
@@ -360,6 +362,39 @@ TEST(SteadyStateAlloc, StaticTopologyBuildAllocationsDoNotGrowWithN) {
   EXPECT_EQ(large.build, small.build);
   EXPECT_LE(small.build, 12u);
   EXPECT_LE(large.fill, 40u) << "filling 10,000 rows must not allocate per row";
+}
+
+// A city-scale trial builds a radio/MAC stack only for its tree members and
+// the nodes their frames reach, and sizes its event queue by the same, so
+// set-up costs an idle node only its O(1) slots: grid index, channel entry
+// and an empty stack slot. Differencing two sizes cancels the fixed cost.
+// (With every stack built up front it was ~2300 B/node.)
+TEST(SteadyStateAlloc, CitySetUpCostsAnIdleNodeUnder512Bytes) {
+  const auto setup_bytes = [](int n) {
+    harness::ScenarioConfig c;
+    c.protocol = harness::Protocol::kDtsSs;
+    c.deployment.num_nodes = n;
+    c.deployment.area_m = 500.0 * std::sqrt(n / 80.0);  // paper density
+    c.deployment.range_m = 125.0;
+    c.deployment.max_tree_dist_m = 300.0;
+    c.workload.base_rate_hz = 1.0;
+    c.seed = 1;
+    std::uint64_t bytes = 0;
+    CountScope scope;
+    snap::TrialHookSpec hook;
+    hook.enabled = true;
+    hook.at = snap::capture_barrier(c);
+    hook.hook = [&](snap::TrialCheckpoint& cp) {
+      bytes = scope.bytes();
+      cp.stop = true;
+    };
+    harness::run_scenario(c, hook);
+    EXPECT_GT(bytes, 0u);
+    return static_cast<double>(bytes);
+  };
+  const double small = setup_bytes(10000);
+  const double large = setup_bytes(20000);
+  EXPECT_LE((large - small) / 10000.0, 512.0);
 }
 
 // Per-link streams: the shadowing gain and the Gilbert-Elliott initial

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/energy/duty_cycle.h"
 #include "src/energy/radio.h"
 #include "src/sim/simulator.h"
+#include "src/snap/serializer.h"
 
 namespace essat::energy {
 namespace {
@@ -240,6 +243,57 @@ TEST(Radio, MeasurementWindowResetsAccounting) {
   // The straddling OFF interval counts from the window start (100 ms).
   ASSERT_EQ(r.sleep_intervals_s().size(), 1u);
   EXPECT_NEAR(r.sleep_intervals_s()[0], 0.060, 1e-9);
+}
+
+std::vector<std::uint8_t> radio_bytes(const Radio& r) {
+  snap::Serializer out;
+  r.save_state(out);
+  return out.take();
+}
+
+// A radio built late for a node nothing has touched (since = 0, and its
+// measurement window opened at the window start if that has passed) holds
+// the state of one built at t = 0 and left alone, then stays in step.
+TEST(Radio, LateBuildFromTimeZeroMatchesUntouchedRadio) {
+  for (const bool window_passed : {false, true}) {
+    SCOPED_TRACE(window_passed ? "window opened before the build"
+                               : "window opens after the build");
+    sim::Simulator sim;
+    const Time window = Time::milliseconds(40);
+    Radio early{sim, fast_params()};
+    std::unique_ptr<Radio> late;
+    const Time build_at = window_passed ? Time::milliseconds(70)
+                                        : Time::milliseconds(25);
+    sim.schedule_at(build_at, [&] {
+      late = std::make_unique<Radio>(sim, fast_params(), Time::zero());
+      if (window_passed) late->begin_measurement_at(window);
+      EXPECT_EQ(radio_bytes(*late), radio_bytes(early));
+    });
+    sim.schedule_at(window, [&] {
+      early.begin_measurement();
+      if (late) late->begin_measurement();
+    });
+    sim.schedule_at(Time::milliseconds(90), [&] {
+      early.note_rx(true);
+      late->note_rx(true);
+    });
+    sim.schedule_at(Time::milliseconds(95), [&] {
+      early.note_rx(false);
+      late->note_rx(false);
+      early.turn_off();
+      late->turn_off();
+    });
+    sim.schedule_at(Time::milliseconds(130), [&] {
+      early.turn_on();
+      late->turn_on();
+    });
+    sim.run_until(Time::milliseconds(200));
+    ASSERT_NE(late, nullptr);
+    EXPECT_EQ(radio_bytes(*late), radio_bytes(early));
+    EXPECT_EQ(late->lifetime_energy_mj(), early.lifetime_energy_mj());
+    EXPECT_EQ(late->duty_cycle(), early.duty_cycle());
+    EXPECT_EQ(late->sleep_intervals_s(), early.sleep_intervals_s());
+  }
 }
 
 TEST(Radio, ZeroTransitionTimes) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/harness/runner.h"
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
+#include "src/obs/tracer.h"
 
 namespace essat::harness {
 namespace {
@@ -90,6 +93,32 @@ TEST(Scenario, ExtraQueriesAreRegistered) {
   const RunMetrics with_surge = run_scenario(c);
   const RunMetrics without = run_scenario(small_config(Protocol::kDtsSs));
   EXPECT_GT(with_surge.reports_sent, without.reports_sent);
+}
+
+// Stacks are built on first contact: a node's bring-up kChanListen record
+// marks its build. A partial tree builds its members and the nodes their
+// frames reach, not the nodes beyond, and tracing does not change the run.
+TEST(Scenario, BuildsOnlyTheStacksItsFramesReach) {
+  ScenarioConfig c = small_config(Protocol::kDtsSs);
+  c.deployment.num_nodes = 160;
+  c.deployment.area_m = 1000.0;
+  c.deployment.max_tree_dist_m = 300.0;
+  const RunMetrics plain = run_scenario(c);
+
+  std::set<std::int32_t> built;
+  c.trace.enabled = true;
+  c.trace.type_mask = obs::trace_bit(obs::TraceType::kChanListen);
+  c.trace.sink = [&built](const obs::Tracer& tracer) {
+    for (const obs::TraceRecord& r : tracer.snapshot()) built.insert(r.node);
+  };
+  const RunMetrics traced = run_scenario(c);
+  EXPECT_EQ(traced.sim_events, plain.sim_events);
+  EXPECT_EQ(traced.avg_duty_cycle, plain.avg_duty_cycle);
+  for (const RunMetrics::NodeDiag& d : plain.per_node) {
+    EXPECT_TRUE(built.count(d.id)) << "member " << d.id << " has no stack";
+  }
+  EXPECT_GT(built.size(), static_cast<std::size_t>(plain.tree_members));
+  EXPECT_LT(built.size(), 120u);
 }
 
 TEST(Runner, AveragesAcrossSeeds) {

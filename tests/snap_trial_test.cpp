@@ -19,6 +19,7 @@
 #include "src/net/link_model.h"
 #include "src/net/mobility.h"
 #include "src/snap/config_codec.h"
+#include "src/snap/hook.h"
 #include "src/snap/metrics_codec.h"
 #include "src/snap/serializer.h"
 #include "src/snap/snapshot.h"
@@ -126,6 +127,29 @@ TEST(SnapTrial, ExtraQueriesAndStsDeadlineBitIdentical) {
 // Snapshot bytes are a pure function of the config: two captures (and their
 // framed wire forms) are identical, which is what makes them diffable
 // across ESSAT_JOBS values and machines.
+// A partial tree: most nodes lie past the 300 m cap, many out of range of
+// every member, so a plain run never builds their stacks. A barrier hook
+// that serializes builds every stack; the run must not notice.
+TEST(SnapTrial, SerializingEveryStackLeavesAPartialTreeRunUnchanged) {
+  harness::ScenarioConfig c = small_base();
+  c.deployment.num_nodes = 160;
+  c.deployment.area_m = 1000.0;
+  c.deployment.max_tree_dist_m = 300.0;
+  c.measure_duration = Time::seconds(8);
+  const harness::RunMetrics plain = harness::run_scenario(c);
+  ASSERT_GT(plain.tree_members, 5);
+  ASSERT_LT(plain.tree_members, 80);
+
+  std::size_t trst_bytes = 0;
+  TrialHookSpec hook;
+  hook.enabled = true;
+  hook.at = capture_barrier(c);
+  hook.hook = [&](TrialCheckpoint& cp) { trst_bytes = cp.serialize().size(); };
+  const harness::RunMetrics hooked = harness::run_scenario(c, hook);
+  EXPECT_GT(trst_bytes, 0u);
+  EXPECT_EQ(fingerprint(hooked), fingerprint(plain));
+}
+
 TEST(SnapTrial, CaptureIsDeterministic) {
   const harness::ScenarioConfig c = small_base();
   const TrialCapture a = capture_trial(c);
